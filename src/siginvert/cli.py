@@ -109,6 +109,8 @@ def _parse_start(raw: str | None, dim: int) -> np.ndarray:
         vec = np.array([float(f) for f in raw.split(",")])
     except ValueError as exc:
         raise InputFormatError(f"bad --start vector {raw!r}") from exc
+    if not np.all(np.isfinite(vec)):
+        raise InputFormatError(f"non-finite --start vector {raw!r}")
     if vec.size != dim:
         raise InputFormatError(
             f"--start has {vec.size} components but the signatures have dim {dim}"

@@ -17,6 +17,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 
 import numpy as np
 
@@ -70,6 +71,9 @@ def read_paths_csv(stream) -> list[tuple[str, PiecewiseLinearPath]]:
             t = float(r[t_col]) if t_col is not None else None
         except ValueError as exc:
             raise InputFormatError(f"bad numeric field in CSV row {line_no}") from exc
+        if not all(map(math.isfinite, coords)) or (
+                t is not None and not math.isfinite(t)):
+            raise InputFormatError(f"non-finite value in CSV row {line_no}")
         pid = r[id_col].strip() if id_col is not None else "0"
         if pid not in groups:
             groups[pid] = []
@@ -135,12 +139,20 @@ def record_to_signature(rec: dict) -> TruncatedSignature:
         dim, depth, levels = rec["dim"], rec["depth"], rec["levels"]
     except (KeyError, TypeError) as exc:
         raise InputFormatError("signature record needs dim/depth/levels") from exc
+    for key, value in (("dim", dim), ("depth", depth)):
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise InputFormatError(f"signature record {key} must be an integer")
+    if not isinstance(levels, list):
+        raise InputFormatError("signature record levels must be a list")
     if len(levels) != depth + 1:
         raise InputFormatError("signature record has wrong level count")
     try:
-        return TruncatedSignature.from_arrays(dim, levels)
-    except ValueError as exc:
+        sig = TruncatedSignature.from_arrays(dim, levels)
+    except (ValueError, TypeError) as exc:
         raise InputFormatError(str(exc)) from exc
+    if not all(np.isfinite(lvl.coeffs).all() for lvl in sig.levels):
+        raise InputFormatError("signature record has a non-finite level entry")
+    return sig
 
 
 def write_signatures_json(stream, sigs_with_ids) -> None:

@@ -69,6 +69,25 @@ class TestSignatureJson:
         with pytest.raises(InputFormatError):
             record_to_signature({"dim": 2})
 
+    @pytest.mark.parametrize("rec", [
+        {"dim": "2", "depth": 1, "levels": [[1.0], [0.0, 1.0]]},
+        {"dim": 2, "depth": 1.0, "levels": [[1.0], [0.0, 1.0]]},
+        {"dim": True, "depth": 1, "levels": [[1.0], [1.0]]},
+        {"dim": 2, "depth": False, "levels": [[1.0]]},
+        {"dim": 2, "depth": 1, "levels": "ab"},
+        {"dim": 2, "depth": 1, "levels": {"0": [1.0], "1": [0.0, 1.0]}},
+        {"dim": 2, "depth": 1, "levels": [[1.0], {"x": 1.0}]},
+    ])
+    def test_record_types(self, rec):
+        with pytest.raises(InputFormatError):
+            record_to_signature(rec)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_level(self, bad):
+        with pytest.raises(InputFormatError, match="non-finite"):
+            record_to_signature({"dim": 2, "depth": 1,
+                                 "levels": [[1.0], [bad, 1.0]]})
+
     def test_level_lengths(self, rng):
         sig = path_signature(random_path(rng, 2, 3), 3)
         rec = signature_to_record(sig)
@@ -116,6 +135,16 @@ class TestPathCsv:
     def test_ragged_rows(self):
         with pytest.raises(InputFormatError, match="column count"):
             read_paths_csv(io.StringIO("x1,x2\n1.0,2.0\n1.0\n"))
+
+    @pytest.mark.parametrize("text", [
+        "x1,x2\n0.0,0.0\nnan,1.0\n",
+        "x1,x2\n0.0,inf\n1.0,1.0\n",
+        "t,x1\n0.0,0.0\nnan,1.0\n",
+        "t,x1\n0.0,0.0\ninf,1.0\n",
+    ])
+    def test_non_finite_values(self, text):
+        with pytest.raises(InputFormatError, match="non-finite"):
+            read_paths_csv(io.StringIO(text))
 
     def test_error_rows(self):
         buf = io.StringIO()
@@ -352,6 +381,34 @@ class TestExitCodes:
         f = write_path_csv_file(tmp_path, "p.csv", [[0.0, 0.0], [1.0, 1.0]])
         assert main(["sign", str(f), "--depth", "10",
                      "--max-coeffs", "100"]) == 3
+
+    def test_non_finite_path_is_input_error(self, tmp_path, capsys):
+        f = tmp_path / "nan.csv"
+        f.write_text("x1,x2\n0.0,0.0\n1.0,nan\n2.0,1.0\n")
+        assert main(["sign", str(f), "--depth", "3"]) == 2
+        assert main(["roundtrip", str(f), "--depths", "3"]) == 2
+        captured = capsys.readouterr()
+        assert "non-finite" in captured.err
+        assert "nan" not in captured.out.lower()
+
+    def test_non_finite_signature_is_input_error(self, tmp_path, capsys):
+        f = tmp_path / "nan.json"
+        f.write_text('{"dim": 2, "depth": 2, "levels": '
+                     '[[1.0], [1.0, NaN], [0.5, 0.0, 0.0, 0.0]]}')
+        assert main(["invert", str(f)]) == 2
+        assert "non-finite" in capsys.readouterr().err
+
+    def test_non_finite_start_is_input_error(self, tmp_path):
+        sig = path_signature(PiecewiseLinearPath([[0.0, 0.0], [1.0, 1.0]]), 3)
+        f = tmp_path / "sig.json"
+        f.write_text(dumps_signatures([("0", sig)]))
+        assert main(["invert", str(f), "--start", "nan,0.0"]) == 2
+
+    def test_mistyped_signature_record_is_input_error(self, tmp_path):
+        f = tmp_path / "typed.json"
+        f.write_text('{"dim": "2", "depth": 2, "levels": '
+                     '[[1.0], [1.0, 0.0], [0.5, 0.0, 0.0, 0.0]]}')
+        assert main(["invert", str(f)]) == 2
 
     def test_assumption_violation_is_exit_4(self, tmp_path):
         f = write_path_csv_file(tmp_path, "coll.csv",

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from siginvert import (
+    AllocationCapError,
     PiecewiseLinearPath,
+    TruncatedSignature,
     chen_concat,
     constant_speed_reparam,
     euclidean_norm,
@@ -13,7 +15,9 @@ from siginvert import (
     path_signature,
     riemann_oracle,
     segment_geometry,
+    set_allocation_cap,
 )
+from siginvert.tensor_algebra import get_allocation_cap
 
 from conftest import random_path
 
@@ -122,6 +126,76 @@ class TestPathSignature:
             np.testing.assert_allclose(path_signature(p, 2).level(k),
                                        path_signature(q, 2).level(k),
                                        atol=1e-14)
+
+
+def chen_fold(path, depth):
+    """Reference signature: left fold of per-segment closed forms under
+    Chen's identity, independent of the Horner step."""
+    sig = TruncatedSignature.trivial(path.dim, depth)
+    for i in range(path.num_segments):
+        dx = path.points[i + 1] - path.points[i]
+        dt = path.times[i + 1] - path.times[i]
+        sig = chen_concat(sig, linear_signature(dx / dt, dt, depth))
+    return sig
+
+
+def assert_within_envelope(got, want, ell1, depth):
+    """max|got_k - want_k| <= 1e-13 * ell1**k / k! on every level."""
+    for k in range(depth + 1):
+        gap = np.max(np.abs(got.level(k) - np.asarray(want[k])))
+        assert gap <= 1e-13 * ell1**k / math.factorial(k), (k, gap)
+
+
+def irregular_path(rng, segments, dim, scale):
+    """Random path with non-uniform times and some repeated points."""
+    steps = rng.normal(scale=scale, size=(segments, dim))
+    steps[rng.random(segments) < 0.2] = 0.0
+    pts = np.vstack([np.zeros(dim), np.cumsum(steps, axis=0)])
+    times = np.cumsum(rng.uniform(0.05, 1.0, size=segments + 1))
+    return PiecewiseLinearPath(pts, times)
+
+
+class TestHornerKernel:
+    @pytest.mark.parametrize("dim", [1, 2, 3, 5])
+    @pytest.mark.parametrize("depth", [0, 1, 2, 6, 9])
+    def test_matches_chen_fold(self, rng, dim, depth):
+        segments = 3 if dim**depth > 10**5 else 7
+        for scale in (1e-2, 1.0, 1e2):
+            p = irregular_path(rng, segments, dim, scale)
+            ell1 = float(np.abs(np.diff(p.points, axis=0)).sum())
+            ref = chen_fold(p, depth)
+            assert_within_envelope(path_signature(p, depth),
+                                   [ref.level(k) for k in range(depth + 1)],
+                                   ell1, depth)
+
+    @pytest.mark.parametrize("depth", [0, 1, 2, 6, 9])
+    def test_one_dimensional_closed_form(self, rng, depth):
+        # back-and-forth moves cancel; the signature only sees the net move
+        for scale in (1e-2, 1.0, 1e2):
+            p = irregular_path(rng, 9, 1, scale)
+            ell1 = float(np.abs(np.diff(p.points, axis=0)).sum())
+            net = float(p.points[-1, 0] - p.points[0, 0])
+            exact = [[net**k / math.factorial(k)] for k in range(depth + 1)]
+            assert_within_envelope(path_signature(p, depth), exact, ell1, depth)
+
+    def test_constant_path_is_trivial(self):
+        p = PiecewiseLinearPath([[1.0, -2.0]] * 3)
+        for depth in (0, 3):
+            sig = path_signature(p, depth)
+            assert sig.depth == depth and sig.level(0)[0] == 1.0
+            for k in range(1, depth + 1):
+                np.testing.assert_array_equal(sig.level(k), np.zeros(2**k))
+
+    def test_allocation_cap_applies_to_depth(self):
+        p = PiecewiseLinearPath([[0.0, 0.0], [1.0, 0.5], [0.2, 1.0]])
+        previous = get_allocation_cap()
+        set_allocation_cap(2**10)
+        try:
+            assert path_signature(p, 10).level(10).size == 2**10
+            with pytest.raises(AllocationCapError):
+                path_signature(p, 11)
+        finally:
+            set_allocation_cap(previous)
 
 
 class TestRiemannOracle:
