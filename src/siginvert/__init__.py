@@ -1,7 +1,6 @@
 """Truncated path signatures, insertion-method inversion, and the
 hyperbolic-development checks behind the method's guarantees."""
 
-from ._backend import active_backend, available_backends, set_backend
 from .bounds import (
     ErrorComparison,
     RecoveryBoundInput,
@@ -15,7 +14,6 @@ from .development import (
     BoundReport,
     DevelopmentMatrix,
     basepoint,
-    chen_lower_bound_chain,
     develop,
     develop_checkpoints,
     f_map,
@@ -37,7 +35,6 @@ from .insertion import (
     adjoint_contract,
     batch_invert,
     insertion_apply,
-    insertion_chen_split,
     invert_signature,
     solve_slope,
 )
@@ -50,7 +47,6 @@ from .signature import (
     merge_degenerate,
     path_signature,
     restrict,
-    riemann_oracle,
     segment_geometry,
 )
 from .tensor_algebra import (
@@ -67,5 +63,11 @@ from .tensor_algebra import (
 )
 
 __version__ = "0.1.0"
+
+
+def active_backend() -> str:
+    """Name of the kernel implementation, recorded in benchmark provenance."""
+    return "numpy"
+
 
 __all__ = [name for name in dir() if not name.startswith("_")]

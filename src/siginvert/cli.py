@@ -1,7 +1,8 @@
-"""Command line interface: sign, invert, roundtrip, trend, bench, develop.
+"""Command line interface: sign, invert, roundtrip, trend, develop.
 
-Exit codes: 0 success, 2 input format error, 3 numeric guard
-(norm-too-small or allocation cap), 4 assumption violation.
+Exit codes: 0 success, 2 input error (malformed or unreadable input, or a
+bad argument value), 3 numeric guard (norm-too-small or allocation cap),
+4 assumption violation.
 """
 
 from __future__ import annotations
@@ -10,13 +11,13 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import sys
-import time
 
 import numpy as np
 
 from . import fileio
-from .development import geometry_or_raise, k_of_omega, norm_lower_bound_check
+from .development import k_of_omega, norm_lower_bound_check
 from .errors import (
     AllocationCapError,
     AssumptionViolation,
@@ -29,9 +30,14 @@ from .signature import (
     constant_speed_reparam,
     merge_degenerate,
     path_signature,
+    require_clean_angles,
     segment_geometry,
 )
-from .tensor_algebra import get_allocation_cap, set_allocation_cap
+from .tensor_algebra import (
+    check_allocation,
+    get_allocation_cap,
+    set_allocation_cap,
+)
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -87,12 +93,25 @@ def _close_out(stream):
         stream.close()
 
 
+def _require_at_least(flag: str, value: int, least: int) -> None:
+    if value < least:
+        raise InputFormatError(f"{flag} must be >= {least}, got {value}")
+
+
+def _constant_speed(path: PiecewiseLinearPath) -> PiecewiseLinearPath:
+    try:
+        return constant_speed_reparam(path)
+    except ValueError as exc:  # zero length: no constant-speed parameterization
+        raise AssumptionViolation(f"cannot reparameterize: {exc}") from exc
+
+
 def cmd_sign(args) -> int:
+    _require_at_least("--depth", args.depth, 0)
     paths = fileio.read_paths_csv(args.input)
     records = []
     for pid, path in paths:
         if args.constant_speed:
-            path = constant_speed_reparam(path)
+            path = _constant_speed(path)
         records.append((pid, path_signature(path, args.depth)))
     out = _out_stream(args)
     try:
@@ -104,6 +123,7 @@ def cmd_sign(args) -> int:
 
 def _parse_start(raw: str | None, dim: int) -> np.ndarray:
     if raw is None:
+        check_allocation(dim, 1)  # a depth-0 record can claim any dim
         return np.zeros(dim)
     try:
         vec = np.array([float(f) for f in raw.split(",")])
@@ -162,8 +182,10 @@ def _parse_depths(raw: str) -> list[int]:
 
 
 def cmd_roundtrip(args) -> int:
-    paths = fileio.read_paths_csv(args.input)
     depths = _parse_depths(args.depths)
+    for depth in depths:
+        _require_at_least("each --depths entry", depth, 2)
+    paths = fileio.read_paths_csv(args.input)
     out = _out_stream(args)
     try:
         w = csv.writer(out, lineterminator="\n")
@@ -179,6 +201,7 @@ def cmd_roundtrip(args) -> int:
 
 
 def cmd_trend(args) -> int:
+    _require_at_least("--depth", args.depth, 2)
     paths = fileio.read_paths_csv(args.input)
     if len(paths) != 1:
         raise InputFormatError("trend estimation expects a single path")
@@ -193,73 +216,34 @@ def cmd_trend(args) -> int:
     return EXIT_OK
 
 
-BENCH_DEFAULTS = {
-    "depth": "4,5,6,7,8,9,10,11,12",
-    "dim": "2,3,4,5,6,7,8",
-    "batch": "1,10,50",
-}
-
-
-def _bench_config(vary: str, value: int) -> tuple[int, int, int]:
-    """(dim, depth, batch) for one benchmark row."""
-    if vary == "depth":
-        return 2, value, 1
-    if vary == "dim":
-        return value, 4, 1
-    return 2, 10, value
-
-
-def run_bench(vary: str, values, seed: int):
-    """Timing rows (vary, value, dim, depth, batch, seconds, status)."""
-    rows = []
-    for value in values:
-        dim, depth, batch = _bench_config(vary, value)
-        rng = np.random.default_rng(seed)
-        try:
-            sigs = [
-                path_signature(random_benchmark_path(rng, dim), depth)
-                for _ in range(batch)
-            ]
-        except AllocationCapError:
-            rows.append((vary, value, dim, depth, batch, "", "skipped"))
-            continue
-        batch_invert(sigs)  # warmup (JIT compilation, caches)
-        t0 = time.perf_counter()
-        batch_invert(sigs)
-        seconds = time.perf_counter() - t0
-        rows.append((vary, value, dim, depth, batch,
-                     f"{seconds:.6f}", "ok"))
-    return rows
-
-
-def cmd_bench(args) -> int:
-    raw = args.values if args.values else BENCH_DEFAULTS[args.vary]
-    values = _parse_depths(raw)
-    rows = run_bench(args.vary, values, args.seed)
-    out = _out_stream(args)
-    try:
-        w = csv.writer(out, lineterminator="\n")
-        w.writerow(["vary", "value", "dim", "depth", "batch", "seconds", "status"])
-        w.writerows(rows)
-    finally:
-        _close_out(out)
-    return EXIT_OK
-
-
 def normalize_unit_length(path: PiecewiseLinearPath) -> PiecewiseLinearPath:
-    """Constant-speed reparameterization plus scaling to total variation 1."""
-    path = constant_speed_reparam(merge_degenerate(path))
-    ell = segment_geometry(path).total_variation
-    return path.scaled(1.0 / ell)
+    """Scaling to total variation 1 plus constant-speed reparameterization.
+
+    The length is summed over displacements divided by the largest one, so
+    that squares neither overflow nor underflow; a length that float64
+    cannot scale to 1 is an AssumptionViolation.
+    """
+    path = merge_degenerate(path)
+    disp = np.diff(path.points, axis=0)
+    top = float(np.abs(disp).max())
+    ell = top * float(np.linalg.norm(disp / top, axis=1).sum()) if top else 0.0
+    if not 0.0 < ell < math.inf or 1.0 / ell == math.inf:
+        raise AssumptionViolation(
+            f"a path of length {ell} cannot be scaled to length 1 in float64"
+        )
+    return _constant_speed(path.scaled(1.0 / ell))
 
 
 def cmd_develop(args) -> int:
+    if args.alpha is not None and not math.isfinite(args.alpha):
+        raise InputFormatError(f"--alpha must be finite, got {args.alpha}")
     paths = fileio.read_paths_csv(args.input)
     if len(paths) != 1:
         raise InputFormatError("develop expects a single path")
     _, path = paths[0]
     path = normalize_unit_length(path)
-    geom = geometry_or_raise(path)
+    geom = segment_geometry(path)
+    require_clean_angles(geom)
     alpha = args.alpha
     if alpha is None:
         alpha = 2.0 * k_of_omega(geom.min_angle) / float(geom.lengths.min())
@@ -314,13 +298,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--depth", type=int, required=True)
     p.set_defaults(func=cmd_trend)
 
-    p = sub.add_parser("bench", parents=[common],
-                       help="inversion timing table over one axis")
-    p.add_argument("--vary", choices=["depth", "dim", "batch"], required=True)
-    p.add_argument("--values", help="comma-separated values for the axis")
-    p.add_argument("--seed", type=int, default=7)
-    p.set_defaults(func=cmd_bench)
-
     p = sub.add_parser("develop", parents=[common],
                        help="hyperbolic-development lower-bound report")
     p.add_argument("input", help="path CSV file with a single path")
@@ -334,11 +311,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     previous_cap = get_allocation_cap()
-    if getattr(args, "max_coeffs", None):
-        set_allocation_cap(args.max_coeffs)
     try:
+        if args.max_coeffs is not None:
+            _require_at_least("--max-coeffs", args.max_coeffs, 1)
+            set_allocation_cap(args.max_coeffs)
         return args.func(args)
-    except (InputFormatError, FileNotFoundError) as exc:
+    except (InputFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (NormTooSmall, AllocationCapError) as exc:

@@ -25,14 +25,15 @@ import numpy as np
 from .errors import AssumptionViolation
 from .signature import (
     PiecewiseLinearPath,
-    SegmentGeometry,
     merge_degenerate,
     require_clean_angles,
     segment_geometry,
 )
-from .tensor_algebra import TruncatedSignature
 
 _B_TOL = 1e-9
+
+# exp() of an argument above this overflows float64 (the limit is ~709.78).
+_EXP_MAX = 700.0
 
 
 def minkowski_b(x, y) -> float:
@@ -152,7 +153,8 @@ def norm_lower_bound_check(path: PiecewiseLinearPath,
     The path must have total variation 1 (normalize with
     constant_speed_reparam and scaling first) and clean angles; alpha must
     exceed K(omega)/D where D is the shortest segment length, so that every
-    developed geodesic segment is longer than K(omega).
+    developed geodesic segment is longer than K(omega).  An alpha above 700,
+    or 2 (M-1) K(omega) above 700, would overflow float64 and is refused.
     """
     geom = segment_geometry(path)
     if abs(geom.total_variation - 1.0) > 1e-8:
@@ -170,6 +172,16 @@ def norm_lower_bound_check(path: PiecewiseLinearPath,
         raise AssumptionViolation(
             f"alpha={alpha} too small: need alpha > K(omega)/D = {alpha_min}"
         )
+    if alpha > _EXP_MAX:
+        raise AssumptionViolation(
+            f"alpha={alpha} too large: the development overflows float64 "
+            f"above alpha={_EXP_MAX} (the shortest segment is {shortest})"
+        )
+    if 2.0 * (m - 1) * k > _EXP_MAX:
+        raise AssumptionViolation(
+            f"{m} segments with K(omega)={k}: n1 = 4 exp(2 (M-1) K(omega)) "
+            "overflows float64"
+        )
     gamma = develop(path.scaled(alpha))
     lhs = math.exp(alpha - (m - 1) * k)
     rhs = gamma.operator_norm()
@@ -184,22 +196,3 @@ def norm_lower_bound_check(path: PiecewiseLinearPath,
         segments=m,
         shortest_segment=shortest,
     )
-
-
-def chen_lower_bound_chain(sig: TruncatedSignature, alpha: float) -> float:
-    """1 + sum_k alpha^k * euclidean_norm(level k), truncated at sig.depth.
-
-    Diagnostic only: a lower estimate of the projective-norm majorant of
-    ||Gamma_1^alpha||, since the Euclidean norm underestimates the
-    projective one.
-    """
-    total = 1.0
-    for k in range(1, sig.depth + 1):
-        total += alpha**k * float(np.linalg.norm(sig.level(k)))
-    return total
-
-
-def geometry_or_raise(path: PiecewiseLinearPath) -> SegmentGeometry:
-    geom = segment_geometry(path)
-    require_clean_angles(geom)
-    return geom

@@ -37,9 +37,12 @@ def _is_float(s: str) -> bool:
 def read_paths_csv(stream) -> list[tuple[str, PiecewiseLinearPath]]:
     """Parse a path CSV into (id, path) pairs, ordered by first appearance."""
     if isinstance(stream, str):
-        with open(stream, newline="") as fh:
+        with open(stream, newline="", encoding="utf-8") as fh:
             return read_paths_csv(fh)
-    rows = [r for r in csv.reader(stream) if r and any(f.strip() for f in r)]
+    try:
+        rows = [r for r in csv.reader(stream) if r and any(f.strip() for f in r)]
+    except (csv.Error, UnicodeDecodeError) as exc:
+        raise InputFormatError(f"unreadable CSV: {exc}") from exc
     if not rows:
         raise InputFormatError("no points: the CSV file is empty")
     widths = {len(r) for r in rows}
@@ -148,7 +151,7 @@ def record_to_signature(rec: dict) -> TruncatedSignature:
         raise InputFormatError("signature record has wrong level count")
     try:
         sig = TruncatedSignature.from_arrays(dim, levels)
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OverflowError) as exc:
         raise InputFormatError(str(exc)) from exc
     if not all(np.isfinite(lvl.coeffs).all() for lvl in sig.levels):
         raise InputFormatError("signature record has a non-finite level entry")
@@ -165,11 +168,11 @@ def write_signatures_json(stream, sigs_with_ids) -> None:
 
 def read_signatures_json(stream) -> list[tuple[str, TruncatedSignature]]:
     if isinstance(stream, str):
-        with open(stream) as fh:
+        with open(stream, encoding="utf-8") as fh:
             return read_signatures_json(fh)
     try:
         payload = json.load(stream)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise InputFormatError(f"invalid JSON: {exc}") from exc
     if isinstance(payload, dict):
         payload = [payload]

@@ -10,15 +10,12 @@ signature and integrates the slopes on the uniform grid p/n.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._backend import adjoint_slot, insert_slot
 from .errors import NormTooSmall
-from .signature import PiecewiseLinearPath, path_signature, restrict
+from .signature import PiecewiseLinearPath
 from .tensor_algebra import TensorLevel, TruncatedSignature, check_allocation
 
 # Default degeneracy threshold for the norm of the level being divided by.
@@ -33,6 +30,13 @@ def _check_slot(n: int, p: int) -> None:
         raise ValueError(f"slot p={p} outside 1..{n + 1}")
 
 
+def _adjoint_slot(sig: np.ndarray, z: np.ndarray, d: int, p: int) -> np.ndarray:
+    """Transpose of the slot-p insertion of R^d into the flat tensor ``sig``,
+    applied to the flat tensor ``z`` of one degree more."""
+    pre = d ** (p - 1)
+    return np.einsum("ajb,ab->j", z.reshape(pre, d, -1), sig.reshape(pre, -1))
+
+
 def insertion_apply(sig_n: TensorLevel, y, p: int) -> TensorLevel:
     """Insert y at slot p: result[(i_1..i_{n+1})] = y_{i_p} * sig[(.. no i_p ..)]."""
     y = np.asarray(y, dtype=np.float64).ravel()
@@ -41,8 +45,8 @@ def insertion_apply(sig_n: TensorLevel, y, p: int) -> TensorLevel:
         raise ValueError(f"y must live in R^{d}")
     _check_slot(n, p)
     check_allocation(d, n + 1)
-    out = insert_slot(sig_n.coeffs, y, d, d ** (p - 1), d ** (n + 1 - p))
-    return TensorLevel(d, n + 1, out)
+    out = sig_n.coeffs.reshape(d ** (p - 1), 1, -1) * y.reshape(1, d, 1)
+    return TensorLevel(d, n + 1, out.ravel())
 
 
 def adjoint_contract(sig_n: TensorLevel, z: TensorLevel, p: int) -> np.ndarray:
@@ -56,7 +60,7 @@ def adjoint_contract(sig_n: TensorLevel, z: TensorLevel, p: int) -> np.ndarray:
     if z.dim != d or z.degree != n + 1:
         raise ValueError("z must have the same dim and degree n + 1")
     _check_slot(n, p)
-    return adjoint_slot(sig_n.coeffs, z.coeffs, d, d ** (p - 1), d ** (n + 1 - p))
+    return _adjoint_slot(sig_n.coeffs, z.coeffs, d, p)
 
 
 def solve_slope(sig_n: TensorLevel, sig_np1: TensorLevel, p: int,
@@ -104,9 +108,7 @@ def invert_signature(sig: TruncatedSignature, start=None,
         )
     slopes = np.empty((n, d))
     for p in range(1, n + 1):
-        slopes[p - 1] = n * adjoint_slot(
-            below.coeffs, top.coeffs, d, d ** (p - 1), d ** (n - p)
-        ) / nrm2
+        slopes[p - 1] = n * _adjoint_slot(below.coeffs, top.coeffs, d, p) / nrm2
     points = np.empty((n + 1, d))
     points[0] = start
     np.cumsum(slopes / n, axis=0, out=points[1:])
@@ -114,21 +116,11 @@ def invert_signature(sig: TruncatedSignature, start=None,
     return InversionResult(PiecewiseLinearPath(points), slopes, start.copy())
 
 
-def _jobs_from_env() -> int:
-    raw = os.environ.get("SIGINVERT_JOBS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def batch_invert(sigs, starts=None, eps_norm: float = EPS_NORM,
-                 jobs: int | None = None) -> list[InversionResult]:
+def batch_invert(sigs, starts=None,
+                 eps_norm: float = EPS_NORM) -> list[InversionResult]:
     """Invert N signatures sharing (d, n); output order follows input order.
 
-    ``jobs`` defaults to the SIGINVERT_JOBS environment variable (1 forces
-    sequential execution).  Results are elementwise identical to a loop of
-    :func:`invert_signature`.
+    Results are elementwise identical to a loop of :func:`invert_signature`.
     """
     sigs = list(sigs)
     if not sigs:
@@ -143,38 +135,4 @@ def batch_invert(sigs, starts=None, eps_norm: float = EPS_NORM,
         starts = list(starts)
         if len(starts) != len(sigs):
             raise ValueError("need one start point per signature")
-    jobs = _jobs_from_env() if jobs is None else max(1, jobs)
-    if jobs == 1:
-        return [invert_signature(s, x0, eps_norm) for s, x0 in zip(sigs, starts)]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        futs = [pool.submit(invert_signature, s, x0, eps_norm)
-                for s, x0 in zip(sigs, starts)]
-        return [f.result() for f in futs]
-
-
-def insertion_chen_split(path: PiecewiseLinearPath, n: int, p: int, y,
-                         v: float) -> TensorLevel:
-    """Right-hand side of the split identity for the insertion operator.
-
-    Splits [0, 1] at v and evaluates
-    sum_{k<p} X^k_{[0,v]} (x) insert_{p-k}(y) on [v,1]
-    + sum_{k>=p} insert_p(y) on [0,v] (x) X^{n-k}_{[v,1]}.
-    Exists solely as a test oracle against the full-interval insertion.
-    """
-    if not 0.0 < v < 1.0:
-        raise ValueError("split point v must lie in (0, 1)")
-    _check_slot(n, p)
-    y = np.asarray(y, dtype=np.float64).ravel()
-    d = path.dim
-    left = path_signature(restrict(path, 0.0, v), n)
-    right = path_signature(restrict(path, v, 1.0), n)
-    out = np.zeros(d ** (n + 1))
-    for k in range(n + 1):
-        if k < p:
-            ins = insertion_apply(right.levels[n - k], y, p - k)
-            term = np.multiply.outer(left.level(k), ins.coeffs)
-        else:
-            ins = insertion_apply(left.levels[k], y, p)
-            term = np.multiply.outer(ins.coeffs, right.level(n - k))
-        out += term.ravel()
-    return TensorLevel(d, n + 1, out)
+    return [invert_signature(s, x0, eps_norm) for s, x0 in zip(sigs, starts)]

@@ -6,8 +6,7 @@ place by exp(v) of each segment, right to left, with Horner's scheme: one
 scratch array per degree and O(M d^depth (d/(d-1))^2) work for M segments.
 ``linear_signature`` (the per-segment closed form) and ``chen_concat``
 (Chen's identity) join two signatures and serve as the tests' oracle for
-the Horner step.  A slow left-Riemann discretization of the nested
-integrals is a second, independent oracle.
+the Horner step.
 """
 
 from __future__ import annotations
@@ -17,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._backend import outer_accum
 from .errors import AssumptionViolation
 from .tensor_algebra import (
     TensorLevel,
@@ -27,9 +25,6 @@ from .tensor_algebra import (
 
 # Angles within this tolerance of 0 or pi raise the assumption flags.
 ANGLE_TOL = 1e-9
-
-# Work cap for the Riemann oracle (steps * d**depth terms).
-_ORACLE_WORK_CAP = 10**8
 
 
 @dataclass(frozen=True)
@@ -165,10 +160,10 @@ def linear_signature(beta, dt: float, depth: int) -> TruncatedSignature:
     levels = [TensorLevel.scalar(d, 1.0)]
     cur = np.array([1.0])
     for k in range(1, depth + 1):
-        nxt = np.zeros(cur.size * d)
-        outer_accum(nxt, cur, beta * (dt / k))
-        levels.append(TensorLevel(d, k, nxt))
-        cur = nxt
+        nxt = np.zeros((cur.size, d))
+        nxt += cur[:, None] * (beta * (dt / k))[None, :]
+        cur = nxt.ravel()
+        levels.append(TensorLevel(d, k, cur))
     return TruncatedSignature(d, depth, tuple(levels))
 
 
@@ -182,7 +177,8 @@ def chen_concat(a: TruncatedSignature, b: TruncatedSignature) -> TruncatedSignat
     for n in range(1, a.depth + 1):
         out = np.zeros(d**n)
         for k in range(n + 1):
-            outer_accum(out, a.level(k), b.level(n - k))
+            lo, hi = a.level(k), b.level(n - k)
+            out.reshape(lo.size, hi.size)[...] += lo[:, None] * hi[None, :]
         levels.append(TensorLevel(d, n, out))
     return TruncatedSignature(d, a.depth, tuple(levels))
 
@@ -255,33 +251,3 @@ def constant_speed_reparam(path: PiecewiseLinearPath) -> PiecewiseLinearPath:
     u = np.concatenate(([0.0], np.cumsum(seg_len) / ell))
     u[-1] = 1.0
     return PiecewiseLinearPath(path.points, u)
-
-
-def riemann_oracle(path: PiecewiseLinearPath, depth: int,
-                   steps: int) -> TruncatedSignature:
-    """Brute-force signature via left-Riemann sums over the simplex.
-
-    Each level-k coefficient is approximated by
-    sum_{m_1 < ... < m_k} dX_{m_1}^{i_1} ... dX_{m_k}^{i_k} over a uniform
-    grid of ``steps`` increments, evaluated with prefix sums.  Error
-    O(1/steps).  Test oracle only; independent of the Chen route.
-    """
-    if steps < 10:
-        raise ValueError("need steps >= 10")
-    d = path.dim
-    if steps * d**depth > _ORACLE_WORK_CAP:
-        raise ValueError("steps**depth grid infeasible: lower steps or depth")
-    t0, t1 = path.times[0], path.times[-1]
-    grid = np.linspace(t0, t1, steps + 1)
-    samples = np.column_stack(
-        [np.interp(grid, path.times, path.points[:, j]) for j in range(d)]
-    )
-    dX = np.diff(samples, axis=0)  # (steps, d)
-    levels = [TensorLevel.scalar(d, 1.0)]
-    # prefix[m] = level-k signature over the first m increments (strict order)
-    prefix = np.ones((steps + 1, 1))
-    for k in range(1, depth + 1):
-        terms = np.einsum("mi,mj->mij", prefix[:-1], dX).reshape(steps, -1)
-        prefix = np.vstack([np.zeros((1, d**k)), np.cumsum(terms, axis=0)])
-        levels.append(TensorLevel(d, k, prefix[-1].copy()))
-    return TruncatedSignature(d, depth, tuple(levels))

@@ -11,7 +11,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._backend import outer_accum
 from .errors import AllocationCapError
 
 DEFAULT_MAX_COEFFS = 10**8
@@ -103,9 +102,9 @@ def tensor_product(a: TensorLevel, b: TensorLevel) -> TensorLevel:
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
     check_allocation(a.dim, a.degree + b.degree)
-    out = np.zeros(a.coeffs.size * b.coeffs.size)
-    outer_accum(out, a.coeffs, b.coeffs)
-    return TensorLevel(a.dim, a.degree + b.degree, out)
+    out = np.zeros((a.coeffs.size, b.coeffs.size))
+    out += a.coeffs[:, None] * b.coeffs[None, :]
+    return TensorLevel(a.dim, a.degree + b.degree, out.ravel())
 
 
 def euclidean_norm(a: TensorLevel) -> float:

@@ -22,7 +22,6 @@ from siginvert import (
     euclidean_norm,
     hyperbolic_distance,
     insertion_apply,
-    insertion_chen_split,
     invert_signature,
     k_of_omega,
     linear_signature,
@@ -32,7 +31,6 @@ from siginvert import (
     permute,
     probe_slot,
     residual_envelope_bound,
-    riemann_oracle,
     segment_geometry,
     solve_slope,
     tensor_product,
@@ -40,6 +38,7 @@ from siginvert import (
 from siginvert.cli import roundtrip_errors
 
 from conftest import random_path, turning_unit_path, unit_speed_two_segment
+from oracles import insertion_chen_split, riemann_oracle
 
 
 @contextmanager

@@ -9,7 +9,6 @@ from siginvert import (
     PiecewiseLinearPath,
     TruncatedSignature,
     basepoint,
-    chen_lower_bound_chain,
     constant_speed_reparam,
     develop,
     develop_checkpoints,
@@ -25,6 +24,7 @@ from siginvert import (
 )
 
 from conftest import random_path, turning_unit_path, unit_speed_two_segment
+from oracles import chen_lower_bound_chain
 
 
 class TestFMap:

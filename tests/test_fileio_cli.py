@@ -313,22 +313,6 @@ class TestRoundtripAndTrend:
         assert main(["trend", str(f), "--depth", "4"]) == 2
 
 
-class TestBenchCli:
-    def test_batch_axis(self, tmp_path, capsys):
-        assert main(["bench", "--vary", "batch", "--values", "1,2"]) == 0
-        rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
-        assert [r["batch"] for r in rows] == ["1", "2"]
-        assert all(r["status"] == "ok" for r in rows)
-        assert all(float(r["seconds"]) >= 0.0 for r in rows)
-
-    def test_depth_axis_respects_cap(self, capsys):
-        assert main(["bench", "--vary", "depth", "--values", "4,40",
-                     "--max-coeffs", "100000"]) == 0
-        rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
-        assert rows[0]["status"] == "ok"
-        assert rows[1]["status"] == "skipped" and rows[1]["seconds"] == ""
-
-
 class TestDevelopCli:
     def test_single_segment_alpha3(self, tmp_path, capsys):
         f = write_path_csv_file(tmp_path, "seg.csv", [[0.0, 0.0], [2.0, 0.0]])
@@ -414,6 +398,93 @@ class TestExitCodes:
         f = write_path_csv_file(tmp_path, "coll.csv",
                                 [[0.0, 0.0], [0.5, 0.0], [1.0, 0.0]])
         assert main(["develop", str(f)]) == 4
+
+
+def assert_one_error_line(capsys):
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+
+
+class TestBadArguments:
+    """Bad argument values and unreadable inputs exit 2; inputs past the
+    allocation cap exit 3, and paths outside develop's assumptions or
+    float64 range exit 4; always one error line and no traceback."""
+
+    @pytest.fixture
+    def square(self, tmp_path):
+        return write_path_csv_file(tmp_path, "sq.csv",
+                                   [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0]])
+
+    @pytest.mark.parametrize("argv", [
+        ["sign", "{f}", "--depth=-1"],
+        ["roundtrip", "{f}", "--depths", "0"],
+        ["roundtrip", "{f}", "--depths", "4,1"],
+        ["trend", "{f}", "--depth", "1"],
+        ["sign", "{f}", "--depth", "3", "--max-coeffs=-5"],
+        ["sign", "{f}", "--depth", "3", "--max-coeffs", "0"],
+        ["develop", "{f}", "--alpha", "nan"],
+        ["develop", "{f}", "--alpha=-inf"],
+    ], ids=lambda argv: " ".join(argv[:1] + argv[2:]))
+    def test_bad_argument_value(self, square, capsys, argv):
+        assert main([a.format(f=square) for a in argv]) == 2
+        assert_one_error_line(capsys)
+
+    def test_huge_integer_level(self, tmp_path, capsys):
+        f = tmp_path / "big.json"
+        f.write_text('{"dim": 1, "depth": 2, "levels": [[1.0], [1.0], [1'
+                     + "0" * 400 + ']]}')
+        assert main(["invert", str(f)]) == 2
+        assert_one_error_line(capsys)
+
+    def test_huge_dim_without_levels_to_match(self, tmp_path, capsys):
+        f = tmp_path / "wide.json"
+        f.write_text('{"dim": 1' + "0" * 400 + ', "depth": 0, "levels": [[1.0]]}')
+        assert main(["invert", str(f)]) == 3
+        assert_one_error_line(capsys)
+
+    @pytest.mark.parametrize("command", [
+        ["sign", "--depth", "2"], ["roundtrip", "--depths", "2"],
+        ["trend", "--depth", "2"], ["develop"], ["invert"],
+    ], ids=lambda c: c[0])
+    def test_non_utf8_input(self, tmp_path, capsys, command):
+        f = tmp_path / "latin1.txt"
+        f.write_bytes(b"x1,x2\n0,0\n1,\xe9\n")
+        assert main([command[0], str(f)] + command[1:]) == 2
+        assert_one_error_line(capsys)
+
+    @pytest.mark.parametrize("command", [
+        ["sign", "--depth", "2"], ["invert"],
+    ], ids=lambda c: c[0])
+    def test_directory_input(self, tmp_path, capsys, command):
+        assert main([command[0], str(tmp_path)] + command[1:]) == 2
+        assert_one_error_line(capsys)
+
+    def test_develop_constant_path(self, tmp_path, capsys):
+        f = write_path_csv_file(tmp_path, "c.csv", [[1.0, 2.0], [1.0, 2.0]])
+        assert main(["develop", f]) == 4
+        assert_one_error_line(capsys)
+
+    def test_sign_constant_speed_constant_path(self, tmp_path, capsys):
+        f = write_path_csv_file(tmp_path, "c.csv", [[1.0, 2.0], [1.0, 2.0]])
+        assert main(["sign", f, "--depth", "2", "--constant-speed"]) == 4
+        assert_one_error_line(capsys)
+
+    @pytest.mark.parametrize("argv", [
+        ["--alpha", "1000"],   # exp(alpha) overflows
+        [],                    # a short segment makes the default alpha huge
+    ], ids=["alpha-1000", "default-alpha"])
+    def test_develop_overflow(self, tmp_path, capsys, argv):
+        f = write_path_csv_file(tmp_path, "s.csv",
+                                [[0.0, 0.0], [1.0, 0.0], [1.0, 1e-7]])
+        assert main(["develop", f] + argv) == 4
+        assert_one_error_line(capsys)
+
+    def test_develop_n1_overflow(self, tmp_path, capsys):
+        steps = np.tile([[1.0, 0.0], [0.0, 1.0]], (100, 1))
+        pts = np.vstack([[0.0, 0.0], np.cumsum(steps, axis=0)])
+        f = write_path_csv_file(tmp_path, "stairs.csv", pts)
+        assert main(["develop", f, "--alpha", "500"]) == 4
+        assert_one_error_line(capsys)
 
 
 class TestResample:

@@ -13,13 +13,13 @@ from siginvert import (
     linear_signature,
     merge_degenerate,
     path_signature,
-    riemann_oracle,
     segment_geometry,
     set_allocation_cap,
 )
 from siginvert.tensor_algebra import get_allocation_cap
 
 from conftest import random_path
+from oracles import riemann_oracle
 
 
 class TestLinearSignature:
