@@ -17,21 +17,19 @@ import sys
 import numpy as np
 
 from . import fileio
-from .development import k_of_omega, norm_lower_bound_check
+from .development import norm_lower_bound_check
 from .errors import (
     AllocationCapError,
     AssumptionViolation,
     InputFormatError,
     NormTooSmall,
 )
-from .insertion import batch_invert, invert_signature
+from .insertion import invert_signature
 from .signature import (
     PiecewiseLinearPath,
     constant_speed_reparam,
     merge_degenerate,
     path_signature,
-    require_clean_angles,
-    segment_geometry,
 )
 from .tensor_algebra import (
     check_allocation,
@@ -145,27 +143,16 @@ def cmd_invert(args) -> int:
     dim = sigs[0][1].dim
     start = _parse_start(args.start, dim)
     ok_records, errors = [], {}
-    homogeneous = all(s.dim == dim and s.depth == sigs[0][1].depth
-                      for _, s in sigs)
-    if homogeneous:
+    # per-record failures become error rows; other records are unaffected
+    for pid, sig in sigs:
         try:
-            results = batch_invert([s for _, s in sigs],
-                                   [start] * len(sigs))
-            ok_records = [(pid, r.path) for (pid, _), r in zip(sigs, results)]
-        except (NormTooSmall, ValueError):
-            homogeneous = False  # isolate the failing record below
-    if not homogeneous:
-        # per-record failures become error rows; other records are unaffected
-        for pid, sig in sigs:
-            try:
-                if sig.dim != dim:
-                    raise ValueError(
-                        f"record dim {sig.dim} differs from batch dim {dim}"
-                    )
-                res = invert_signature(sig, start=start)
-                ok_records.append((pid, res.path))
-            except (NormTooSmall, ValueError) as exc:
-                errors[pid] = str(exc)
+            if sig.dim != dim:
+                raise ValueError(
+                    f"record dim {sig.dim} differs from batch dim {dim}"
+                )
+            ok_records.append((pid, invert_signature(sig, start=start).path))
+        except (NormTooSmall, ValueError) as exc:
+            errors[pid] = str(exc)
     out = _out_stream(args)
     try:
         fileio.write_paths_csv(out, ok_records, errors)
@@ -240,14 +227,8 @@ def cmd_develop(args) -> int:
     paths = fileio.read_paths_csv(args.input)
     if len(paths) != 1:
         raise InputFormatError("develop expects a single path")
-    _, path = paths[0]
-    path = normalize_unit_length(path)
-    geom = segment_geometry(path)
-    require_clean_angles(geom)
-    alpha = args.alpha
-    if alpha is None:
-        alpha = 2.0 * k_of_omega(geom.min_angle) / float(geom.lengths.min())
-    report = norm_lower_bound_check(path, alpha)
+    report = norm_lower_bound_check(normalize_unit_length(paths[0][1]),
+                                    args.alpha)
     out = _out_stream(args)
     try:
         json.dump(dataclasses.asdict(report), out, indent=2)

@@ -147,14 +147,15 @@ class BoundReport:
 
 
 def norm_lower_bound_check(path: PiecewiseLinearPath,
-                           alpha: float) -> BoundReport:
+                           alpha: float | None = None) -> BoundReport:
     """Evaluate exp(alpha - (M-1) K(omega)) <= ||Gamma_1^alpha||.
 
     The path must have total variation 1 (normalize with
     constant_speed_reparam and scaling first) and clean angles; alpha must
     exceed K(omega)/D where D is the shortest segment length, so that every
-    developed geodesic segment is longer than K(omega).  An alpha above 700,
-    or 2 (M-1) K(omega) above 700, would overflow float64 and is refused.
+    developed geodesic segment is longer than K(omega).  The default alpha
+    is 2 K(omega)/D.  An alpha above 700, or 2 (M-1) K(omega) above 700,
+    would overflow float64 and is refused.
     """
     geom = segment_geometry(path)
     if abs(geom.total_variation - 1.0) > 1e-8:
@@ -167,6 +168,8 @@ def norm_lower_bound_check(path: PiecewiseLinearPath,
     omega = geom.min_angle
     k = k_of_omega(omega)
     shortest = float(geom.lengths.min())
+    if alpha is None:
+        alpha = 2.0 * k / shortest
     alpha_min = k / shortest
     if alpha <= alpha_min:
         raise AssumptionViolation(

@@ -10,6 +10,7 @@ signature and integrates the slopes on the uniform grid p/n.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,7 +19,7 @@ from .errors import NormTooSmall
 from .signature import PiecewiseLinearPath
 from .tensor_algebra import TensorLevel, TruncatedSignature, check_allocation
 
-# Default degeneracy threshold for the norm of the level being divided by.
+# Degeneracy threshold for the norm of the level being divided by.
 # Genuine signatures decay like ell^n / n! (about 8e-18 for a unit-length
 # path at n = 19), so the cutoff must sit well below that while still
 # catching tree-like inputs whose levels vanish.
@@ -49,6 +50,12 @@ def insertion_apply(sig_n: TensorLevel, y, p: int) -> TensorLevel:
     return TensorLevel(d, n + 1, out.ravel())
 
 
+def _check_pair(sig_n: TensorLevel, z: TensorLevel, p: int) -> None:
+    if z.dim != sig_n.dim or z.degree != sig_n.degree + 1:
+        raise ValueError("z must have the same dim and degree n + 1")
+    _check_slot(sig_n.degree, p)
+
+
 def adjoint_contract(sig_n: TensorLevel, z: TensorLevel, p: int) -> np.ndarray:
     """Apply the transpose of the slot-p insertion map to z.
 
@@ -56,25 +63,45 @@ def adjoint_contract(sig_n: TensorLevel, z: TensorLevel, p: int) -> np.ndarray:
     indices with i_p = j.  Cost O(d^{n+1}), memory O(d); the sparse matrix
     of the insertion map is never materialized.
     """
-    d, n = sig_n.dim, sig_n.degree
-    if z.dim != d or z.degree != n + 1:
-        raise ValueError("z must have the same dim and degree n + 1")
-    _check_slot(n, p)
-    return _adjoint_slot(sig_n.coeffs, z.coeffs, d, p)
+    _check_pair(sig_n, z, p)
+    return _adjoint_slot(sig_n.coeffs, z.coeffs, sig_n.dim, p)
 
 
-def solve_slope(sig_n: TensorLevel, sig_np1: TensorLevel, p: int,
-                eps_norm: float = EPS_NORM) -> np.ndarray:
+def _solve(below: TensorLevel, top: TensorLevel, slots, start: np.ndarray):
+    """The one slope solve and its guard.
+
+    Row i holds y* = k * A_p^T X^k / norm(X^{k-1})**2 for p = slots[i],
+    where ``below`` is X^{k-1} and ``top`` is X^k; the points start at
+    ``start`` and step by y*/k.  A divisor at or below EPS_NORM**2, NaN or
+    infinite, or any slope or point that is not finite, is refused; the
+    points are checked too because finite slopes can still step past
+    float64 from a large start.
+    """
+    d, factor = below.dim, below.degree + 1
+    with np.errstate(all="ignore"):
+        nrm2 = float(below.coeffs @ below.coeffs)
+        slopes = np.empty((len(slots), d))
+        for i, p in enumerate(slots):
+            slopes[i] = factor * _adjoint_slot(below.coeffs, top.coeffs, d, p) / nrm2
+        points = np.empty((len(slots) + 1, d))
+        points[0] = start
+        np.cumsum(slopes / factor, axis=0, out=points[1:])
+        points[1:] += start
+    # a non-finite slope makes every later point non-finite
+    if not (EPS_NORM**2 < nrm2 < math.inf and np.isfinite(points).all()):
+        raise NormTooSmall(
+            f"the degree-{below.degree} level has squared norm {nrm2:.3g}, "
+            f"outside ({EPS_NORM}**2, inf), or a slope or point is not "
+            "finite; degenerate, tree-like or overflowing input"
+        )
+    return slopes, points
+
+
+def solve_slope(sig_n: TensorLevel, sig_np1: TensorLevel, p: int) -> np.ndarray:
     """Exact minimizer of ||insert_p(y) - (n+1) X^{n+1}|| in the Euclidean
     tensor norm."""
-    nrm2 = float(sig_n.coeffs @ sig_n.coeffs)
-    if nrm2 <= eps_norm**2:
-        raise NormTooSmall(
-            f"norm of the degree-{sig_n.degree} level is <= {eps_norm}; "
-            "degenerate or tree-like input"
-        )
-    n = sig_n.degree
-    return (n + 1) * adjoint_contract(sig_n, sig_np1, p) / nrm2
+    _check_pair(sig_n, sig_np1, p)
+    return _solve(sig_n, sig_np1, [p], np.zeros(sig_n.dim))[0][0]
 
 
 @dataclass(frozen=True)
@@ -86,8 +113,7 @@ class InversionResult:
     start_point: np.ndarray
 
 
-def invert_signature(sig: TruncatedSignature, start=None,
-                     eps_norm: float = EPS_NORM) -> InversionResult:
+def invert_signature(sig: TruncatedSignature, start=None) -> InversionResult:
     """Insertion inversion from the top two levels of ``sig``.
 
     For p = 1..n the slope is y* = n * A_p^T X^n / norm(X^{n-1})**2 and the
@@ -100,24 +126,12 @@ def invert_signature(sig: TruncatedSignature, start=None,
     start = np.zeros(d) if start is None else np.asarray(start, dtype=np.float64)
     if start.shape != (d,):
         raise ValueError(f"start point must live in R^{d}")
-    top, below = sig.levels[n], sig.levels[n - 1]
-    nrm2 = float(below.coeffs @ below.coeffs)
-    if nrm2 <= eps_norm**2:
-        raise NormTooSmall(
-            f"norm of level {n - 1} is <= {eps_norm}; cannot divide"
-        )
-    slopes = np.empty((n, d))
-    for p in range(1, n + 1):
-        slopes[p - 1] = n * _adjoint_slot(below.coeffs, top.coeffs, d, p) / nrm2
-    points = np.empty((n + 1, d))
-    points[0] = start
-    np.cumsum(slopes / n, axis=0, out=points[1:])
-    points[1:] += start
+    slopes, points = _solve(sig.levels[n - 1], sig.levels[n],
+                            range(1, n + 1), start)
     return InversionResult(PiecewiseLinearPath(points), slopes, start.copy())
 
 
-def batch_invert(sigs, starts=None,
-                 eps_norm: float = EPS_NORM) -> list[InversionResult]:
+def batch_invert(sigs, starts=None) -> list[InversionResult]:
     """Invert N signatures sharing (d, n); output order follows input order.
 
     Results are elementwise identical to a loop of :func:`invert_signature`.
@@ -135,4 +149,4 @@ def batch_invert(sigs, starts=None,
         starts = list(starts)
         if len(starts) != len(sigs):
             raise ValueError("need one start point per signature")
-    return [invert_signature(s, x0, eps_norm) for s, x0 in zip(sigs, starts)]
+    return [invert_signature(s, x0) for s, x0 in zip(sigs, starts)]

@@ -16,11 +16,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AssumptionViolation
+from .errors import AllocationCapError, AssumptionViolation
 from .tensor_algebra import (
     TensorLevel,
     TruncatedSignature,
     check_allocation,
+    get_allocation_cap,
 )
 
 # Angles within this tolerance of 0 or pi raise the assumption flags.
@@ -106,12 +107,11 @@ class SegmentGeometry:
 
 
 def segment_geometry(path: PiecewiseLinearPath) -> SegmentGeometry:
-    path = merge_degenerate(path)
     dt = np.diff(path.times)
     disp = np.diff(path.points, axis=0)
     slopes = disp / dt[:, None]
     lengths = np.linalg.norm(disp, axis=1)
-    nz = lengths > 0
+    nz = lengths > 0  # zero segments have no slope direction or angle
     if not np.any(nz):
         raise ValueError("path has no non-degenerate segment")
     slopes, lengths, disp = slopes[nz], lengths[nz], disp[nz]
@@ -183,6 +183,26 @@ def chen_concat(a: TruncatedSignature, b: TruncatedSignature) -> TruncatedSignat
     return TruncatedSignature(d, a.depth, tuple(levels))
 
 
+def _check_scratch(d: int, depth: int) -> None:
+    """Refuse a Horner scratch of sum_m (depth - m + 1) d^m coefficients
+    above 4 times the allocation cap.
+
+    For d >= 2 the sum is at most (d/(d-1))^2 <= 4 top levels, which the
+    cap already bounds; for d = 1 it grows as depth^2 / 2.
+    """
+    if d == 1:
+        size = depth * (depth + 1) // 2
+    else:
+        size = d * (d ** (depth + 1) - (depth + 1) * d + depth) // (d - 1) ** 2
+    cap = get_allocation_cap()
+    if size > 4 * cap:
+        raise AllocationCapError(
+            f"signing to depth {depth} over R^{d} needs {size} scratch "
+            f"coefficients, above 4 times the cap of {cap}; "
+            "raise it with set_allocation_cap() or --max-coeffs"
+        )
+
+
 def path_signature(path: PiecewiseLinearPath, depth: int) -> TruncatedSignature:
     """Signature of a piecewise linear path, one in-place Horner step per
     segment.
@@ -198,29 +218,37 @@ def path_signature(path: PiecewiseLinearPath, depth: int) -> TruncatedSignature:
     length-d factor on the left of each outer product, so the inner loop
     runs over the long contiguous axis.  Cost O(M d^depth (d/(d-1))^2)
     multiply-adds for M segments; level 1 equals the endpoint displacement.
+    A level that overflows float64 raises AssumptionViolation, and a
+    scratch above 4 times the allocation cap raises AllocationCapError.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    path = merge_degenerate(path)
     d = path.dim
     check_allocation(d, depth)
+    _check_scratch(d, depth)
     levels = [np.ones(1)] + [np.zeros(d**k) for k in range(1, depth + 1)]
     # Row r of scratch[m] holds the degree-m partial product of level m + r;
     # its row 0 is complete and is added to level m.
     scratch = [np.ones((depth + 1, 1))]
     scratch += [np.empty((depth - m + 1, d**m)) for m in range(1, depth + 1)]
     inv = 1.0 / np.arange(1, depth + 1)
-    # a zero segment (a constant path) adds zeros: exp(0) is the identity
-    for v in np.diff(path.points, axis=0)[::-1]:
-        # row r: v / (r + 1), the left factor of row r at every degree
-        vs = inv[:, None, None] * v[None, :, None]
-        for m in range(1, depth + 1):
-            rows = depth - m + 1
-            buf = scratch[m]
-            np.multiply(vs[:rows], scratch[m - 1][1:, None, :],
-                        out=buf.reshape(rows, d, -1))
-            buf[1:] += levels[m]
-            levels[m] += buf[0]
+    # a zero segment (a repeated point) adds zeros: exp(0) is the identity
+    with np.errstate(over="ignore", invalid="ignore"):
+        for v in np.diff(path.points, axis=0)[::-1]:
+            # row r: v / (r + 1), the left factor of row r at every degree
+            vs = inv[:, None, None] * v[None, :, None]
+            for m in range(1, depth + 1):
+                rows = depth - m + 1
+                buf = scratch[m]
+                np.multiply(vs[:rows], scratch[m - 1][1:, None, :],
+                            out=buf.reshape(rows, d, -1))
+                buf[1:] += levels[m]
+                levels[m] += buf[0]
+    for k, lvl in enumerate(levels):
+        if not np.isfinite(lvl).all():
+            raise AssumptionViolation(
+                f"level {k} of the depth-{depth} signature overflows float64"
+            )
     return TruncatedSignature(
         d, depth, tuple(TensorLevel(d, k, lvl) for k, lvl in enumerate(levels))
     )

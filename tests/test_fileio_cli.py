@@ -9,6 +9,7 @@ import pytest
 from siginvert import (
     InputFormatError,
     PiecewiseLinearPath,
+    invert_signature,
     linear_signature,
     path_signature,
 )
@@ -239,6 +240,29 @@ class TestSignInvertCli:
         rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
         error_rows = [r for r in rows[1:] if r[-1]]
         assert len(error_rows) == 1 and error_rows[0][0] == "zero"
+
+
+    def test_bad_records_become_error_rows(self, tmp_path, capsys, rng):
+        sig = path_signature(random_path(rng, 3, 2), 5)
+        good = json.loads(dumps_signatures([("good", sig)]))
+        zero = good | {"id": "zero", "levels": [[1.0]] + [
+            [0.0] * 2**k for k in range(1, 6)]}
+        huge = good | {"id": "huge", "levels": [[1.0]] + [
+            [1e200] * 2**k for k in range(1, 6)]}
+        shallow = {"id": "shallow", "dim": 2, "depth": 1,
+                   "levels": [[1.0], [1.0, 2.0]]}
+        sig_file = tmp_path / "sigs.json"
+        sig_file.write_text(json.dumps([good, zero, huge, shallow]))
+        assert main(["invert", str(sig_file)]) == 0
+        out = capsys.readouterr()
+        assert out.err == ""
+        rows = list(csv.DictReader(io.StringIO(out.out)))
+        assert {r["id"] for r in rows if r["error"]} == {"zero", "huge",
+                                                         "shallow"}
+        [(pid, recon)] = read_paths_csv(io.StringIO(out.out))
+        assert pid == "good"
+        np.testing.assert_array_equal(recon.points,
+                                      invert_signature(sig).path.points)
 
 
 class TestRoundtripAndTrend:
@@ -477,6 +501,24 @@ class TestBadArguments:
         f = write_path_csv_file(tmp_path, "s.csv",
                                 [[0.0, 0.0], [1.0, 0.0], [1.0, 1e-7]])
         assert main(["develop", f] + argv) == 4
+        assert_one_error_line(capsys)
+
+    @pytest.mark.parametrize("argv", [
+        ["sign", "{f}", "--depth", "3"],
+        ["roundtrip", "{f}", "--depths", "3"],
+        ["trend", "{f}", "--depth", "3"],
+    ], ids=lambda argv: argv[0])
+    def test_signature_overflow(self, tmp_path, capsys, argv):
+        f = tmp_path / "big.csv"
+        f.write_text("0,0\n1e300,1\n")
+        assert main([a.format(f=f) for a in argv]) == 4
+        assert_one_error_line(capsys)
+
+    def test_one_dimensional_scratch_cap(self, tmp_path, capsys):
+        f = write_path_csv_file(tmp_path, "line.csv", [[0.0], [1.0]])
+        assert main(["sign", f, "--depth", "88", "--max-coeffs", "1000"]) == 0
+        assert json.loads(capsys.readouterr().out)["depth"] == 88
+        assert main(["sign", f, "--depth", "89", "--max-coeffs", "1000"]) == 3
         assert_one_error_line(capsys)
 
     def test_develop_n1_overflow(self, tmp_path, capsys):

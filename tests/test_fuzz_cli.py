@@ -1,14 +1,16 @@
 """Fuzz test of the readers and of ``main()``: random CSV/JSON text and
-argument values must end in exit code 0 (silent on stderr) or 2, 3 or 4
-(one ``error:`` line), never in an exception.
+argument values must end in exit code 0 (silent on stderr, every number
+written finite) or 2, 3 or 4 (one ``error:`` line), never in an exception.
 
 Most inputs are well formed, so that the numeric code behind the readers
 runs too; the rest is corrupted or random text and bytes.
 """
 
 import contextlib
+import csv
 import io
 import json
+import math
 import tempfile
 from pathlib import Path
 
@@ -86,7 +88,8 @@ def signature_record(draw):
                                                          max_value=10**400)))
     if n and draw(st.integers(min_value=0, max_value=4)) == 0:
         level = rec["levels"]
-        if isinstance(level, list) and isinstance(level[-1], list):
+        if isinstance(level, list) and level and isinstance(level[-1], list) \
+                and level[-1]:
             level[-1][0] = 10**400
     return rec
 
@@ -131,7 +134,20 @@ def run_main(command, content, args):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main([command, str(f)] + args)
-    return code, err.getvalue()
+    return code, out.getvalue(), err.getvalue()
+
+
+def output_numbers(command, out):
+    """Every numeric field of a command's output, as written."""
+    if command == "sign":
+        payload = json.loads(out)
+        records = payload if isinstance(payload, list) else [payload]
+        return [x for rec in records for level in rec["levels"] for x in level]
+    if command == "develop":
+        return [v for v in json.loads(out).values() if not isinstance(v, bool)]
+    # invert/trend path CSV (error rows carry no numbers) or roundtrip table
+    return [v for row in csv.DictReader(io.StringIO(out)) if not row.get("error")
+            for key, v in row.items() if key not in ("id", "error")]
 
 
 # Extreme coordinates overflow in signing and inversion; the test is about
@@ -145,10 +161,12 @@ def test_main_exits_with_a_documented_code(command, data):
     content_st, args_st = COMMANDS[command]
     content = data.draw(content_st, label="input")
     args = data.draw(args_st, label="args") + data.draw(max_coeffs)
-    code, err = run_main(command, content, args)
+    code, out, err = run_main(command, content, args)
     assert code in EXIT_CODES
     lines = err.splitlines()
     if code == 0:
         assert lines == []
+        numbers = output_numbers(command, out)
+        assert all(math.isfinite(float(x)) for x in numbers), numbers
     else:
         assert len(lines) == 1 and lines[0].startswith("error: "), lines

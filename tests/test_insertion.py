@@ -143,6 +143,32 @@ class TestSolveSlope:
         with pytest.raises(NormTooSmall):
             solve_slope(sig, z, 1)
 
+    @pytest.mark.parametrize("below, top", [
+        ([np.nan, 1.0], [1.0] * 4),      # NaN divisor
+        ([1e200, 1e200], [1.0] * 4),     # divisor overflows to inf
+        ([1e-10, 0.0], [1e300] * 4),     # slope overflows
+        ([1.0, 0.0], [np.inf] * 4),      # slope is infinite
+    ], ids=["nan-norm", "inf-norm", "slope-overflow", "inf-slope"])
+    def test_raises_on_non_finite(self, below, top):
+        with pytest.raises(NormTooSmall):
+            solve_slope(TensorLevel(2, 1, np.array(below)),
+                        TensorLevel(2, 2, np.array(top)), 1)
+
+    def test_rejects_mismatched_levels(self, rng):
+        with pytest.raises(ValueError):
+            solve_slope(random_level(rng, 2, 2), random_level(rng, 2, 2), 1)
+        with pytest.raises(ValueError):
+            solve_slope(random_level(rng, 2, 2), random_level(rng, 2, 3), 4)
+
+    def test_bitwise_equal_to_inversion_slopes(self, rng):
+        for d in (1, 2, 3):
+            for n in range(2, 9):
+                sig = path_signature(random_path(rng, 4, d), n)
+                slopes = invert_signature(sig).slopes
+                for p in range(1, n + 1):
+                    y = solve_slope(sig.levels[n - 1], sig.levels[n], p)
+                    np.testing.assert_array_equal(y, slopes[p - 1])
+
 
 class TestInvertSignature:
     def test_linear_path_recovered_exactly(self, rng):
@@ -181,6 +207,19 @@ class TestInvertSignature:
         zeroed = TruncatedSignature(2, 4, levels)
         with pytest.raises(NormTooSmall):
             invert_signature(zeroed)
+
+    def test_overflowing_signature_raises(self):
+        big = TruncatedSignature.from_arrays(
+            2, [[1.0]] + [np.full(2**k, 1e200) for k in range(1, 5)])
+        with pytest.raises(NormTooSmall):
+            invert_signature(big)
+
+    def test_overflowing_point_raises(self):
+        # both slopes are 1e308; the second step from 1e308 passes float64
+        sig = TruncatedSignature.from_arrays(1, [[1.0], [1.0], [5e307]])
+        np.testing.assert_array_equal(invert_signature(sig).slopes, 1e308)
+        with pytest.raises(NormTooSmall):
+            invert_signature(sig, start=[1e308])
 
     def test_scale_equivariance(self, rng):
         from siginvert import graded_scale

@@ -5,6 +5,7 @@ import pytest
 
 from siginvert import (
     AllocationCapError,
+    AssumptionViolation,
     PiecewiseLinearPath,
     TruncatedSignature,
     chen_concat,
@@ -197,6 +198,36 @@ class TestHornerKernel:
         finally:
             set_allocation_cap(previous)
 
+    def test_allocation_cap_counts_one_dimensional_scratch(self):
+        # d = 1: one coefficient per level, but depth (depth + 1) / 2 of
+        # scratch; 88 * 89 / 2 = 3916 <= 4 * 1000 < 89 * 90 / 2 = 4005
+        p = PiecewiseLinearPath([[0.0], [1.0]])
+        previous = get_allocation_cap()
+        set_allocation_cap(1000)
+        try:
+            assert path_signature(p, 88).level(88).size == 1
+            with pytest.raises(AllocationCapError, match="scratch"):
+                path_signature(p, 89)
+        finally:
+            set_allocation_cap(previous)
+
+    def test_repeated_points_add_exact_zeros(self, rng):
+        for d in (1, 2, 3):
+            p = irregular_path(rng, 5, d, 1.0)
+            pts = np.repeat(p.points, [1, 2, 1, 3, 1, 2], axis=0)
+            q = PiecewiseLinearPath(pts)
+            for depth in (0, 3, 6):
+                a, b = path_signature(p, depth), path_signature(q, depth)
+                for k in range(depth + 1):
+                    np.testing.assert_array_equal(a.level(k), b.level(k))
+
+    @pytest.mark.parametrize("end", [[1e300, 1.0], [-1e200, 1e200],
+                                     [1.7e308, -1.7e308]])
+    def test_overflow_is_refused(self, end):
+        p = PiecewiseLinearPath([[0.0, 0.0], end])
+        with pytest.raises(AssumptionViolation, match="overflows float64"):
+            path_signature(p, 3)
+
 
 class TestRiemannOracle:
     def test_level_one_displacement(self):
@@ -276,3 +307,13 @@ class TestSegmentGeometry:
     def test_total_variation(self):
         p = PiecewiseLinearPath([[0.0, 0.0], [3.0, 0.0], [3.0, 4.0]])
         assert segment_geometry(p).total_variation == pytest.approx(7.0)
+
+    def test_slope_after_repeated_point(self):
+        # the zero segment spans [0.3, 0.6]; the last slope spans [0.6, 1]
+        p = PiecewiseLinearPath([[0, 0], [1, 0], [1, 0], [1, 1]],
+                                [0.0, 0.3, 0.6, 1.0])
+        geom = segment_geometry(p)
+        np.testing.assert_allclose(geom.slopes, [[1 / 0.3, 0.0], [0.0, 2.5]],
+                                   rtol=1e-15)
+        np.testing.assert_array_equal(geom.lengths, [1.0, 1.0])
+        assert geom.angles[0] == pytest.approx(math.pi / 2, abs=1e-12)
