@@ -155,7 +155,7 @@ def cmd_invert(args) -> int:
             errors[pid] = str(exc)
     out = _out_stream(args)
     try:
-        fileio.write_paths_csv(out, ok_records, errors)
+        fileio.write_paths_csv(out, ok_records, errors, dim=dim)
     finally:
         _close_out(out)
     return EXIT_OK
@@ -173,15 +173,14 @@ def cmd_roundtrip(args) -> int:
     for depth in depths:
         _require_at_least("each --depths entry", depth, 2)
     paths = fileio.read_paths_csv(args.input)
+    # every row is computed before the output opens, so a failure writes nothing
+    rows = [[pid, depth, *map(fileio.format_float, roundtrip_errors(path, depth))]
+            for pid, path in paths for depth in depths]
     out = _out_stream(args)
     try:
         w = csv.writer(out, lineterminator="\n")
         w.writerow(["id", "depth", "mean_error", "max_error"])
-        for pid, path in paths:
-            for depth in depths:
-                mean_err, max_err = roundtrip_errors(path, depth)
-                w.writerow([pid, depth, fileio.format_float(mean_err),
-                            fileio.format_float(max_err)])
+        w.writerows(rows)
     finally:
         _close_out(out)
     return EXIT_OK

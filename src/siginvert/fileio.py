@@ -6,10 +6,12 @@ files are treated as pure coordinate rows of a single path.
 
 Signature JSON: an object {"dim": d, "depth": n, "levels": [[...], ...]}
 with level k holding d**k reals; a batch is a JSON array of such objects.
-An optional "id" key tags records from multi-path files.
+An optional "id" key tags records from multi-path files.  The writer
+streams the layout of ``json.dump(..., indent=2)`` level by level, joining
+fixed-size chunks of a level at a time, and refuses non-finite levels.
 
-Decimal text is used throughout (17 significant digits for CSV floats;
-JSON floats round-trip exactly via repr).
+Decimal text is used throughout: CSV floats carry 17 significant digits,
+JSON floats the shortest repr that round-trips, as ``json`` writes them.
 """
 
 from __future__ import annotations
@@ -82,6 +84,8 @@ def read_paths_csv(stream) -> list[tuple[str, PiecewiseLinearPath]]:
             groups[pid] = []
             order.append(pid)
         groups[pid].append((t, coords))
+    if not order:
+        raise InputFormatError("no points: every CSV row is an error marker")
 
     out = []
     for pid in order:
@@ -107,15 +111,19 @@ def format_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def write_paths_csv(stream, records, errors=None) -> None:
+def write_paths_csv(stream, records, errors=None, dim=None) -> None:
     """Write (id, path) pairs as id,t,x1..xd rows plus an error column.
 
     ``errors`` maps ids to failure messages; failed records emit a single
-    row carrying only the id and the message.
+    row carrying only the id and the message.  ``dim`` (d in the header)
+    defaults to the first record's and is required when there is none.
     """
     records = list(records)
     errors = errors or {}
-    dim = records[0][1].dim if records else 1
+    if dim is None:
+        if not records:
+            raise ValueError("write_paths_csv needs dim when no record is given")
+        dim = records[0][1].dim
     w = csv.writer(stream, lineterminator="\n")
     w.writerow(["id", "t"] + [f"x{j + 1}" for j in range(dim)] + ["error"])
     for pid, path in records:
@@ -158,11 +166,53 @@ def record_to_signature(rec: dict) -> TruncatedSignature:
     return sig
 
 
+_JSON_CHUNK = 16384  # floats per join: bounds the strings alive at once
+
+
+def _write_record(stream, path_id, sig: TruncatedSignature, pad: str) -> None:
+    """One record, as ``json.dump(signature_to_record(...), indent=2)`` writes
+    it when the record's own line is indented by ``pad``."""
+    key, row, num = pad + "  ", pad + "    ", pad + "      "
+    sep = ",\n" + num
+    stream.write(f'{{\n{key}"dim": {sig.dim},\n{key}"depth": {sig.depth},'
+                 f'\n{key}"levels": [')
+    for k in range(sig.depth + 1):
+        level = sig.level(k)
+        stream.write(f"{',' if k else ''}\n{row}[\n{num}")
+        for lo in range(0, level.size, _JSON_CHUNK):
+            if lo:
+                stream.write(sep)
+            stream.write(sep.join(map(float.__repr__,
+                                      level[lo:lo + _JSON_CHUNK].tolist())))
+        stream.write(f"\n{row}]")
+    stream.write(f"\n{key}]")
+    if path_id is not None:
+        stream.write(f',\n{key}"id": {json.dumps(path_id)}')
+    stream.write(f"\n{pad}}}")
+
+
 def write_signatures_json(stream, sigs_with_ids) -> None:
-    """Write records (a bare object for one, an array for a batch)."""
-    records = [signature_to_record(s, pid) for pid, s in sigs_with_ids]
-    payload = records[0] if len(records) == 1 else records
-    json.dump(payload, stream, indent=2)
+    """Write records (a bare object for one, an array for a batch).
+
+    The bytes are those ``json.dump(payload, stream, indent=2)`` plus a
+    newline writes for the ``signature_to_record`` records, streamed level
+    by level.  A non-finite level entry raises ValueError before anything
+    is written.
+    """
+    items = list(sigs_with_ids)
+    for _, sig in items:
+        if not all(np.isfinite(lvl.coeffs).all() for lvl in sig.levels):
+            raise ValueError("cannot write a non-finite signature level entry")
+    if len(items) == 1:
+        _write_record(stream, *items[0], "")
+    elif not items:
+        stream.write("[]")
+    else:
+        stream.write("[")
+        for i, (pid, sig) in enumerate(items):
+            stream.write(",\n  " if i else "\n  ")
+            _write_record(stream, pid, sig, "  ")
+        stream.write("\n]")
     stream.write("\n")
 
 

@@ -2,6 +2,8 @@ import csv
 import io
 import json
 import math
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,10 +11,12 @@ import pytest
 from siginvert import (
     InputFormatError,
     PiecewiseLinearPath,
+    TruncatedSignature,
     invert_signature,
     linear_signature,
     path_signature,
 )
+from siginvert import fileio
 from siginvert.cli import main, resample_arclength, roundtrip_errors
 from siginvert.fileio import (
     dumps_signatures,
@@ -48,7 +52,85 @@ def half_circle(samples=100):
     return np.column_stack([np.cos(theta), np.sin(theta)])
 
 
+EDGE_FLOATS = np.array([-0.0, 5e-324, 1.7976931348623157e308])
+
+
+def edge_signature(rng, dim, depth):
+    """Levels of mixed magnitude holding the edge floats (as many as fit)."""
+    sizes = [dim**k for k in range(depth + 1)]
+    flat = rng.normal(size=sum(sizes)) * 10.0 ** rng.integers(-30, 30, sum(sizes))
+    fit = min(flat.size, EDGE_FLOATS.size)
+    flat[:fit] = EDGE_FLOATS[:fit]
+    rng.shuffle(flat)
+    return TruncatedSignature.from_arrays(dim, np.split(flat, np.cumsum(sizes)[:-1]))
+
+
+def json_dump_oracle(sigs_with_ids):
+    records = [signature_to_record(sig, pid) for pid, sig in sigs_with_ids]
+    return json.dumps(records[0] if len(records) == 1 else records,
+                      indent=2) + "\n"
+
+
+@pytest.fixture(scope="module")
+def deep_planar_signature():
+    """d=2, depth 17: the top level's 131,072 entries span several chunks."""
+    sig = path_signature(random_path(np.random.default_rng(17), 6, 2), 17)
+    assert sig.level(17).size > fileio._JSON_CHUNK
+    return sig
+
+
+class CountingSink:
+    def __init__(self):
+        self.chars = 0
+
+    def write(self, text):
+        self.chars += len(text)
+
+
 class TestSignatureJson:
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("depth", [0, 1, 5])
+    @pytest.mark.parametrize("count", [0, 1, 3])
+    @pytest.mark.parametrize("pid", [None, 'a"b', "\u00e9"])
+    def test_bytes_equal_json_dump(self, rng, dim, depth, count, pid):
+        items = [(pid, edge_signature(rng, dim, depth)) for _ in range(count)]
+        assert dumps_signatures(items) == json_dump_oracle(items)
+
+    def test_edge_floats_and_escapes_written(self, rng):
+        text = dumps_signatures([("\u00e9", edge_signature(rng, 3, 1))])
+        for token in ("-0.0", "5e-324", "1.7976931348623157e+308",
+                      '"id": "\\u00e9"'):
+            assert token in text
+
+    def test_bytes_equal_json_dump_across_chunks(self, deep_planar_signature):
+        for items in ([("x", deep_planar_signature)],
+                      [(None, deep_planar_signature), ("y", deep_planar_signature)]):
+            assert dumps_signatures(items) == json_dump_oracle(items)
+
+    def test_writer_peak_below_one_level_of_reprs(self, deep_planar_signature):
+        reprs = list(map(float.__repr__, deep_planar_signature.level(17).tolist()))
+        level_reprs = sys.getsizeof(reprs) + sum(map(sys.getsizeof, reprs))
+        del reprs
+        sink = CountingSink()
+        tracemalloc.start()
+        try:
+            fileio.write_signatures_json(sink, [("x", deep_planar_signature)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sink.chars == len(dumps_signatures([("x", deep_planar_signature)]))
+        # a whole level held as text, as json.dump holds it, exceeds a quarter
+        assert peak < level_reprs / 4
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_writer_refuses_non_finite_level(self, rng, bad):
+        good = edge_signature(rng, 2, 2)
+        sig = TruncatedSignature.from_arrays(2, [[1.0], [0.5, bad], [0.0] * 4])
+        buf = io.StringIO()
+        with pytest.raises(ValueError, match="non-finite"):
+            fileio.write_signatures_json(buf, [("a", good), ("b", sig)])
+        assert buf.getvalue() == ""
+
     def test_roundtrip_bit_identical(self, rng):
         sig = path_signature(random_path(rng, 3, 2), 4)
         text = dumps_signatures([("a", sig)])
@@ -147,6 +229,17 @@ class TestPathCsv:
         with pytest.raises(InputFormatError, match="non-finite"):
             read_paths_csv(io.StringIO(text))
 
+    def test_header_needs_dim_without_records(self):
+        buf = io.StringIO()
+        write_paths_csv(buf, [], errors={"bad": "went wrong"}, dim=3)
+        assert buf.getvalue().splitlines()[0] == "id,t,x1,x2,x3,error"
+        with pytest.raises(ValueError, match="dim"):
+            write_paths_csv(io.StringIO(), [], errors={"bad": "went wrong"})
+
+    def test_only_error_rows_is_no_points(self):
+        with pytest.raises(InputFormatError, match="no points"):
+            read_paths_csv(io.StringIO("id,t,x1,x2,error\na,,,,failed\n"))
+
     def test_error_rows(self):
         buf = io.StringIO()
         p = PiecewiseLinearPath([[0.0], [1.0]])
@@ -241,6 +334,23 @@ class TestSignInvertCli:
         error_rows = [r for r in rows[1:] if r[-1]]
         assert len(error_rows) == 1 and error_rows[0][0] == "zero"
 
+
+    def test_every_record_failing_keeps_batch_header(self, tmp_path, capsys):
+        zero = {"dim": 2, "depth": 3,
+                "levels": [[1.0], [0.0] * 2, [0.0] * 4, [0.0] * 8]}
+        sig_file = tmp_path / "sigs.json"
+        sig_file.write_text(json.dumps([zero | {"id": "a"}, zero | {"id": "b"}]))
+        out_file = tmp_path / "recon.csv"
+        assert main(["invert", str(sig_file), "--out", str(out_file)]) == 0
+        rows = list(csv.reader(io.StringIO(out_file.read_text())))
+        assert rows[0] == ["id", "t", "x1", "x2", "error"]
+        assert [r[0] for r in rows[1:]] == ["a", "b"]
+        assert all(r[-1] and len(r) == 5 for r in rows[1:])
+        capsys.readouterr()
+        # signing the all-failed output is an input error, not an empty batch
+        assert main(["sign", str(out_file), "--depth", "3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "no points" in captured.err
 
     def test_bad_records_become_error_rows(self, tmp_path, capsys, rng):
         sig = path_signature(random_path(rng, 3, 2), 5)
@@ -513,6 +623,17 @@ class TestBadArguments:
         f.write_text("0,0\n1e300,1\n")
         assert main([a.format(f=f) for a in argv]) == 4
         assert_one_error_line(capsys)
+
+    def test_failed_roundtrip_writes_nothing(self, tmp_path, capsys):
+        f = tmp_path / "big.csv"
+        f.write_text("0,0\n1e300,1\n")
+        assert main(["roundtrip", str(f), "--depths", "3"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
+        out_file = tmp_path / "table.csv"
+        assert main(["roundtrip", str(f), "--depths", "3",
+                     "--out", str(out_file)]) == 4
+        assert not out_file.exists()
 
     def test_one_dimensional_scratch_cap(self, tmp_path, capsys):
         f = write_path_csv_file(tmp_path, "line.csv", [[0.0], [1.0]])
