@@ -46,17 +46,13 @@ from .signature import (
     linear_signature,
     merge_degenerate,
     path_signature,
-    restrict,
     segment_geometry,
 )
 from .tensor_algebra import (
     TensorLevel,
     TruncatedSignature,
-    euclidean_norm,
     get_allocation_cap,
     graded_scale,
-    multi_index_to_offset,
-    offset_to_multi_index,
     permute,
     set_allocation_cap,
     tensor_product,

@@ -6,7 +6,8 @@ files are treated as pure coordinate rows of a single path.
 
 Signature JSON: an object {"dim": d, "depth": n, "levels": [[...], ...]}
 with level k holding d**k reals; a batch is a JSON array of such objects.
-An optional "id" key tags records from multi-path files.  The writer
+An optional "id" key tags records from multi-path files; ids must be
+unique within a file, a record without one taking its index.  The writer
 streams the layout of ``json.dump(..., indent=2)`` level by level, joining
 fixed-size chunks of a level at a time, and refuses non-finite levels.
 
@@ -217,6 +218,11 @@ def write_signatures_json(stream, sigs_with_ids) -> None:
 
 
 def read_signatures_json(stream) -> list[tuple[str, TruncatedSignature]]:
+    """Parse a signature JSON into (id, signature) pairs in file order.
+
+    A record without an "id" takes its index; two records with the same id
+    raise InputFormatError, since outputs are keyed by id.
+    """
     if isinstance(stream, str):
         with open(stream, encoding="utf-8") as fh:
             return read_signatures_json(fh)
@@ -228,9 +234,15 @@ def read_signatures_json(stream) -> list[tuple[str, TruncatedSignature]]:
         payload = [payload]
     if not isinstance(payload, list):
         raise InputFormatError("expected a signature object or array")
-    out = []
+    out, seen = [], set()
     for i, rec in enumerate(payload):
         pid = str(rec.get("id", i)) if isinstance(rec, dict) else str(i)
+        if pid in seen:
+            raise InputFormatError(
+                f"duplicate record id {pid!r} (record {i}); a record "
+                "without an id takes its index as id"
+            )
+        seen.add(pid)
         out.append((pid, record_to_signature(rec)))
     return out
 

@@ -254,21 +254,6 @@ def path_signature(path: PiecewiseLinearPath, depth: int) -> TruncatedSignature:
     )
 
 
-def restrict(path: PiecewiseLinearPath, u: float, v: float) -> PiecewiseLinearPath:
-    """The path restricted to [u, v], with interpolated endpoints."""
-    t, pts = path.times, path.points
-    if not t[0] <= u < v <= t[-1]:
-        raise ValueError("need t0 <= u < v <= tM")
-
-    def point_at(s):
-        return np.array([np.interp(s, t, pts[:, j]) for j in range(path.dim)])
-
-    inner = (t > u) & (t < v)
-    new_t = np.concatenate(([u], t[inner], [v]))
-    new_p = np.vstack([point_at(u), pts[inner], point_at(v)])
-    return PiecewiseLinearPath(new_p, new_t)
-
-
 def constant_speed_reparam(path: PiecewiseLinearPath) -> PiecewiseLinearPath:
     """Replace the times so that every slope has norm ell (the length)."""
     path = merge_degenerate(path)

@@ -40,27 +40,6 @@ def check_allocation(dim: int, degree: int) -> None:
         )
 
 
-def multi_index_to_offset(index: tuple[int, ...], dim: int) -> int:
-    """Row-major offset of a 1-based multi-index."""
-    off = 0
-    for i in index:
-        if not 1 <= i <= dim:
-            raise ValueError(f"multi-index entry {i} outside 1..{dim}")
-        off = off * dim + (i - 1)
-    return off
-
-
-def offset_to_multi_index(offset: int, dim: int, degree: int) -> tuple[int, ...]:
-    """Inverse of :func:`multi_index_to_offset`."""
-    if not 0 <= offset < dim**degree:
-        raise ValueError("offset out of range")
-    out = []
-    for _ in range(degree):
-        out.append(offset % dim + 1)
-        offset //= dim
-    return tuple(reversed(out))
-
-
 @dataclass(frozen=True)
 class TensorLevel:
     """One homogeneous degree-k tensor over R^d, flat row-major coefficients."""
@@ -91,11 +70,6 @@ class TensorLevel:
     def scalar(cls, dim: int, value: float) -> "TensorLevel":
         return cls(dim, 0, np.array([value]))
 
-    def __getitem__(self, index: tuple[int, ...]) -> float:
-        if len(index) != self.degree:
-            raise ValueError("multi-index length must equal the degree")
-        return float(self.coeffs[multi_index_to_offset(index, self.dim)])
-
 
 def tensor_product(a: TensorLevel, b: TensorLevel) -> TensorLevel:
     """Outer product in flat layout: result[(I, J)] = a[I] * b[J]."""
@@ -105,10 +79,6 @@ def tensor_product(a: TensorLevel, b: TensorLevel) -> TensorLevel:
     out = np.zeros((a.coeffs.size, b.coeffs.size))
     out += a.coeffs[:, None] * b.coeffs[None, :]
     return TensorLevel(a.dim, a.degree + b.degree, out.ravel())
-
-
-def euclidean_norm(a: TensorLevel) -> float:
-    return float(np.linalg.norm(a.coeffs))
 
 
 def permute(a: TensorLevel, sigma: tuple[int, ...]) -> TensorLevel:
@@ -154,13 +124,6 @@ class TruncatedSignature:
         levels = tuple(TensorLevel(dim, k, np.asarray(a, dtype=np.float64))
                        for k, a in enumerate(arrays))
         return cls(dim, len(levels) - 1, levels)
-
-    @classmethod
-    def trivial(cls, dim: int, depth: int) -> "TruncatedSignature":
-        """The signature of a constant path: (1, 0, ..., 0)."""
-        levels = [TensorLevel.scalar(dim, 1.0)]
-        levels += [TensorLevel.zeros(dim, k) for k in range(1, depth + 1)]
-        return cls(dim, depth, tuple(levels))
 
     def level(self, k: int) -> np.ndarray:
         """Flat coefficient array of the degree-k level."""

@@ -1,5 +1,7 @@
 """Independent test oracles: a Riemann-sum signature, the Chen split of
-the insertion operator, and the Chen-chain norm estimate.
+the insertion operator, the Chen-chain norm estimate and a per-entry
+insertion adjoint, with the small helpers only the tests use (multi-index
+offsets, path restriction, the trivial signature, the Euclidean norm).
 
 They check the library's results by other routes and are not part of the
 package's API.
@@ -13,9 +15,78 @@ from siginvert import (
     TruncatedSignature,
     insertion_apply,
     path_signature,
-    restrict,
 )
 from siginvert.insertion import _check_slot
+
+
+def multi_index_to_offset(index: tuple[int, ...], dim: int) -> int:
+    """Row-major offset of a 1-based multi-index."""
+    off = 0
+    for i in index:
+        if not 1 <= i <= dim:
+            raise ValueError(f"multi-index entry {i} outside 1..{dim}")
+        off = off * dim + (i - 1)
+    return off
+
+
+def offset_to_multi_index(offset: int, dim: int, degree: int) -> tuple[int, ...]:
+    """Inverse of :func:`multi_index_to_offset`."""
+    if not 0 <= offset < dim**degree:
+        raise ValueError("offset out of range")
+    out = []
+    for _ in range(degree):
+        out.append(offset % dim + 1)
+        offset //= dim
+    return tuple(reversed(out))
+
+
+def entry(level: TensorLevel, index: tuple[int, ...]) -> float:
+    """The coefficient of ``level`` at a 1-based multi-index."""
+    if len(index) != level.degree:
+        raise ValueError("multi-index length must equal the degree")
+    return float(level.coeffs[multi_index_to_offset(index, level.dim)])
+
+
+def euclidean_norm(a: TensorLevel) -> float:
+    return float(np.linalg.norm(a.coeffs))
+
+
+def trivial_signature(dim: int, depth: int) -> TruncatedSignature:
+    """The signature of a constant path: (1, 0, ..., 0)."""
+    levels = [TensorLevel.scalar(dim, 1.0)]
+    levels += [TensorLevel.zeros(dim, k) for k in range(1, depth + 1)]
+    return TruncatedSignature(dim, depth, tuple(levels))
+
+
+def restrict(path: PiecewiseLinearPath, u: float, v: float) -> PiecewiseLinearPath:
+    """The path restricted to [u, v], with interpolated endpoints."""
+    t, pts = path.times, path.points
+    if not t[0] <= u < v <= t[-1]:
+        raise ValueError("need t0 <= u < v <= tM")
+
+    def point_at(s):
+        return np.array([np.interp(s, t, pts[:, j]) for j in range(path.dim)])
+
+    inner = (t > u) & (t < v)
+    new_t = np.concatenate(([u], t[inner], [v]))
+    new_p = np.vstack([point_at(u), pts[inner], point_at(v)])
+    return PiecewiseLinearPath(new_p, new_t)
+
+
+def adjoint_oracle(sig: TensorLevel, z: TensorLevel, p: int) -> np.ndarray:
+    """The slot-p insertion adjoint entry by entry, from its definition.
+
+    Component j sums sig[(.. no i_p ..)] * z[(i_1..i_{n+1})] over every
+    multi-index of z with i_p = j, one index at a time.
+    """
+    _check_slot(sig.degree, p)
+    out = np.zeros(sig.dim)
+    for off in range(z.coeffs.size):
+        idx = offset_to_multi_index(off, z.dim, z.degree)
+        rest = idx[:p - 1] + idx[p:]
+        out[idx[p - 1] - 1] += entry(sig, rest) * z.coeffs[off]
+    return out
+
 
 # Work cap for the Riemann oracle (steps * d**depth terms).
 _ORACLE_WORK_CAP = 10**8

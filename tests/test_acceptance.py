@@ -19,7 +19,6 @@ from siginvert import (
     constant_speed_reparam,
     develop,
     develop_checkpoints,
-    euclidean_norm,
     hyperbolic_distance,
     insertion_apply,
     invert_signature,
@@ -38,7 +37,7 @@ from siginvert import (
 from siginvert.cli import roundtrip_errors
 
 from conftest import random_path, turning_unit_path, unit_speed_two_segment
-from oracles import insertion_chen_split, riemann_oracle
+from oracles import euclidean_norm, insertion_chen_split, riemann_oracle
 
 
 @contextmanager

@@ -7,7 +7,6 @@ import scipy.linalg
 from siginvert import (
     AssumptionViolation,
     PiecewiseLinearPath,
-    TruncatedSignature,
     basepoint,
     constant_speed_reparam,
     develop,
@@ -24,7 +23,7 @@ from siginvert import (
 )
 
 from conftest import random_path, turning_unit_path, unit_speed_two_segment
-from oracles import chen_lower_bound_chain
+from oracles import chen_lower_bound_chain, trivial_signature
 
 
 class TestFMap:
@@ -199,7 +198,7 @@ class TestNormLowerBound:
 
 class TestChenChain:
     def test_trivial_signature(self):
-        assert chen_lower_bound_chain(TruncatedSignature.trivial(2, 4),
+        assert chen_lower_bound_chain(trivial_signature(2, 4),
                                       alpha=5.0) == 1.0
 
     def test_unit_linear_path_partial_exponential(self):

@@ -576,6 +576,20 @@ class TestBadArguments:
         assert main(["invert", str(f)]) == 3
         assert_one_error_line(capsys)
 
+    @pytest.mark.parametrize("ids", [["a", "b", "a"], [None, None, "1"]],
+                             ids=["explicit", "index-collides"])
+    def test_duplicate_record_ids(self, tmp_path, capsys, ids):
+        # outputs are keyed by id, so a repeat would drop error rows and
+        # merge ok paths; the record without an id at index 1 is id "1"
+        sig = linear_signature(np.array([1.0, 0.5]), 1.0, 3)
+        f = tmp_path / "dup.json"
+        f.write_text(json.dumps([signature_to_record(sig, pid) for pid in ids]))
+        assert main(["invert", str(f)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: duplicate record id '")
+
     @pytest.mark.parametrize("command", [
         ["sign", "--depth", "2"], ["roundtrip", "--depths", "2"],
         ["trend", "--depth", "2"], ["develop"], ["invert"],

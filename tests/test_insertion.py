@@ -11,7 +11,6 @@ from siginvert import (
     adjoint_contract,
     batch_invert,
     constant_speed_reparam,
-    euclidean_norm,
     insertion_apply,
     invert_signature,
     linear_signature,
@@ -20,7 +19,12 @@ from siginvert import (
 )
 
 from conftest import random_path
-from oracles import insertion_chen_split
+from oracles import (
+    adjoint_oracle,
+    euclidean_norm,
+    insertion_chen_split,
+    trivial_signature,
+)
 
 
 def random_level(rng, dim, degree):
@@ -98,6 +102,21 @@ class TestAdjoint:
             lhs = float(insertion_apply(sig, y, p).coeffs @ z.coeffs)
             rhs = float(y @ adjoint_contract(sig, z, p))
             assert lhs == pytest.approx(rhs, rel=1e-12)
+
+    @pytest.mark.parametrize("d, n", [(1, 5), (2, 6), (2, 10), (3, 5), (4, 4)])
+    def test_matches_dense_oracle_at_every_slot(self, rng, d, n):
+        # a tail d**(n+1-p) of at most 8 entries takes the BLAS product, a
+        # longer one einsum: each shape but d=1 (tail 1) runs both branches
+        sig = path_signature(random_path(rng, 4, d), n + 1)
+        # the adjoint is bilinear; unit-scale path levels keep atol relative
+        path_pair = [TensorLevel(d, k, sig.level(k) / np.abs(sig.level(k)).max())
+                     for k in (n, n + 1)]
+        for below, top in [(random_level(rng, d, n), random_level(rng, d, n + 1)),
+                           path_pair]:
+            for p in range(1, n + 2):
+                np.testing.assert_allclose(
+                    adjoint_contract(below, top, p), adjoint_oracle(below, top, p),
+                    rtol=1e-12, atol=1e-14)
 
     def test_zero_tensor(self, rng):
         sig = random_level(rng, 2, 2)
@@ -203,7 +222,7 @@ class TestInvertSignature:
             invert_signature(sig)
 
     def test_degenerate_signature_raises(self):
-        levels = TruncatedSignature.trivial(2, 4).levels
+        levels = trivial_signature(2, 4).levels
         zeroed = TruncatedSignature(2, 4, levels)
         with pytest.raises(NormTooSmall):
             invert_signature(zeroed)

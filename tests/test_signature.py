@@ -7,10 +7,8 @@ from siginvert import (
     AllocationCapError,
     AssumptionViolation,
     PiecewiseLinearPath,
-    TruncatedSignature,
     chen_concat,
     constant_speed_reparam,
-    euclidean_norm,
     linear_signature,
     merge_degenerate,
     path_signature,
@@ -20,7 +18,7 @@ from siginvert import (
 from siginvert.tensor_algebra import get_allocation_cap
 
 from conftest import random_path
-from oracles import riemann_oracle
+from oracles import euclidean_norm, riemann_oracle, trivial_signature
 
 
 class TestLinearSignature:
@@ -55,10 +53,8 @@ class TestChenConcat:
                                        atol=1e-12)
 
     def test_trivial_signature_is_identity(self, rng):
-        from siginvert import TruncatedSignature
-
         a = path_signature(random_path(rng, 3, 2), 4)
-        e = TruncatedSignature.trivial(2, 4)
+        e = trivial_signature(2, 4)
         for out in (chen_concat(a, e), chen_concat(e, a)):
             for k in range(5):
                 np.testing.assert_allclose(out.level(k), a.level(k), atol=1e-15)
@@ -132,7 +128,7 @@ class TestPathSignature:
 def chen_fold(path, depth):
     """Reference signature: left fold of per-segment closed forms under
     Chen's identity, independent of the Horner step."""
-    sig = TruncatedSignature.trivial(path.dim, depth)
+    sig = trivial_signature(path.dim, depth)
     for i in range(path.num_segments):
         dx = path.points[i + 1] - path.points[i]
         dt = path.times[i + 1] - path.times[i]
