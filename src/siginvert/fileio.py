@@ -7,12 +7,14 @@ files are treated as pure coordinate rows of a single path.
 Signature JSON: an object {"dim": d, "depth": n, "levels": [[...], ...]}
 with level k holding d**k reals; a batch is a JSON array of such objects.
 An optional "id" key tags records from multi-path files; ids must be
-unique within a file, a record without one taking its index.  The writer
-streams the layout of ``json.dump(..., indent=2)`` level by level, joining
-fixed-size chunks of a level at a time, and refuses non-finite levels.
+unique within a file, a record without one taking its index, and level
+entries must be JSON numbers.  The writer's bytes are those of
+``json.dump(..., indent=2)``; it refuses non-finite levels.
 
 Decimal text is used throughout: CSV floats carry 17 significant digits,
 JSON floats the shortest repr that round-trips, as ``json`` writes them.
+The writer computes those digits in numpy (``_floatfmt.join_reprs``), one
+buffer of ``_JSON_CHUNK`` level entries at a time.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import csv
 import io
 import json
 import math
+import numbers
 
 import numpy as np
 
@@ -146,6 +149,11 @@ def signature_to_record(sig: TruncatedSignature, path_id: str | None = None) -> 
     return rec
 
 
+# JSON's names for the Python types json.load makes of its non-numbers
+_JSON_NAMES = {bool: "a boolean", str: "a string", list: "a list",
+               dict: "an object", type(None): "a null"}
+
+
 def record_to_signature(rec: dict) -> TruncatedSignature:
     try:
         dim, depth, levels = rec["dim"], rec["depth"], rec["levels"]
@@ -158,6 +166,15 @@ def record_to_signature(rec: dict) -> TruncatedSignature:
         raise InputFormatError("signature record levels must be a list")
     if len(levels) != depth + 1:
         raise InputFormatError("signature record has wrong level count")
+    for k, level in enumerate(levels):
+        if not isinstance(level, list):
+            raise InputFormatError(f"level {k} must be a list of numbers")
+        others = {t for t in set(map(type, level))
+                  if issubclass(t, bool) or not issubclass(t, numbers.Real)}
+        if others:
+            names = sorted(_JSON_NAMES.get(t, t.__name__) for t in others)
+            raise InputFormatError(
+                f"level {k} holds {' and '.join(names)}, not only numbers")
     try:
         sig = TruncatedSignature.from_arrays(dim, levels)
     except (ValueError, TypeError, OverflowError) as exc:
@@ -167,54 +184,75 @@ def record_to_signature(rec: dict) -> TruncatedSignature:
     return sig
 
 
-_JSON_CHUNK = 16384  # floats per join: bounds the strings alive at once
+_JSON_CHUNK = 4096  # floats per formatting call: bounds the text alive at once
 
 
-def _write_record(stream, path_id, sig: TruncatedSignature, pad: str) -> None:
-    """One record, as ``json.dump(signature_to_record(...), indent=2)`` writes
-    it when the record's own line is indented by ``pad``."""
-    key, row, num = pad + "  ", pad + "    ", pad + "      "
-    sep = ",\n" + num
-    stream.write(f'{{\n{key}"dim": {sig.dim},\n{key}"depth": {sig.depth},'
-                 f'\n{key}"levels": [')
-    for k in range(sig.depth + 1):
-        level = sig.level(k)
-        stream.write(f"{',' if k else ''}\n{row}[\n{num}")
-        for lo in range(0, level.size, _JSON_CHUNK):
-            if lo:
-                stream.write(sep)
-            stream.write(sep.join(map(float.__repr__,
-                                      level[lo:lo + _JSON_CHUNK].tolist())))
-        stream.write(f"\n{row}]")
-    stream.write(f"\n{key}]")
-    if path_id is not None:
-        stream.write(f',\n{key}"id": {json.dumps(path_id)}')
-    stream.write(f"\n{pad}}}")
+def _write_floats(stream, values, runs, sep: str) -> None:
+    """Write each (prefix, stop) run as its prefix, then ``sep.join`` of the
+    reprs of ``values`` from the previous run's stop to ``stop``."""
+    # imported here, so that only a process that writes signatures builds
+    # the formatter's tables
+    from ._floatfmt import join_reprs
+
+    text, ends = join_reprs(values, sep)
+    start = 0
+    for prefix, stop in runs:
+        end = ends[stop - 1]
+        stream.write(prefix)
+        stream.write(text[start:end])
+        start = end + len(sep)
+    runs.clear()
 
 
 def write_signatures_json(stream, sigs_with_ids) -> None:
     """Write records (a bare object for one, an array for a batch).
 
     The bytes are those ``json.dump(payload, stream, indent=2)`` plus a
-    newline writes for the ``signature_to_record`` records, streamed level
-    by level.  A non-finite level entry raises ValueError before anything
-    is written.
+    newline writes for the ``signature_to_record`` records.  Level entries
+    pass through one buffer of ``_JSON_CHUNK`` floats, across level and
+    record boundaries; each full buffer is formatted at once and its text
+    cut at those boundaries.  A non-finite level entry raises ValueError
+    before anything is written.
     """
     items = list(sigs_with_ids)
     for _, sig in items:
         if not all(np.isfinite(lvl.coeffs).all() for lvl in sig.levels):
             raise ValueError("cannot write a non-finite signature level entry")
-    if len(items) == 1:
-        _write_record(stream, *items[0], "")
-    elif not items:
-        stream.write("[]")
-    else:
-        stream.write("[")
-        for i, (pid, sig) in enumerate(items):
-            stream.write(",\n  " if i else "\n  ")
-            _write_record(stream, pid, sig, "  ")
-        stream.write("\n]")
-    stream.write("\n")
+    if not items:
+        stream.write("[]\n")
+        return
+    pad = "" if len(items) == 1 else "  "
+    key, row, num = pad + "  ", pad + "    ", pad + "      "
+    sep = ",\n" + num
+    buf = np.empty(_JSON_CHUNK)
+    fill, runs = 0, []
+    text = "" if len(items) == 1 else "["       # written before the next float
+    for i, (path_id, sig) in enumerate(items):
+        if pad:
+            text += ",\n  " if i else "\n  "
+        text += (f'{{\n{key}"dim": {sig.dim},\n{key}"depth": {sig.depth},'
+                 f'\n{key}"levels": [')
+        for k in range(sig.depth + 1):
+            level = sig.level(k)
+            text += f"{',' if k else ''}\n{row}[\n{num}"
+            lo = 0
+            while lo < level.size:
+                take = min(level.size - lo, _JSON_CHUNK - fill)
+                buf[fill:fill + take] = level[lo:lo + take]
+                fill, lo = fill + take, lo + take
+                runs.append((text, fill))
+                text = sep            # a level cut by a flush goes on after it
+                if fill == _JSON_CHUNK:
+                    _write_floats(stream, buf, runs, sep)
+                    fill = 0
+            text = f"\n{row}]"
+        text += f"\n{key}]"
+        if path_id is not None:
+            text += f',\n{key}"id": {json.dumps(path_id)}'
+        text += f"\n{pad}}}"
+    if runs:
+        _write_floats(stream, buf[:fill], runs, sep)
+    stream.write(text + ("\n]\n" if pad else "\n"))
 
 
 def read_signatures_json(stream) -> list[tuple[str, TruncatedSignature]]:
@@ -243,7 +281,10 @@ def read_signatures_json(stream) -> list[tuple[str, TruncatedSignature]]:
                 "without an id takes its index as id"
             )
         seen.add(pid)
-        out.append((pid, record_to_signature(rec)))
+        try:
+            out.append((pid, record_to_signature(rec)))
+        except InputFormatError as exc:
+            raise InputFormatError(f"record {pid!r}: {exc}") from exc
     return out
 
 

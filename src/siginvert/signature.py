@@ -74,10 +74,7 @@ class PiecewiseLinearPath:
 def merge_degenerate(path: PiecewiseLinearPath) -> PiecewiseLinearPath:
     """Drop consecutive duplicate points; they carry the identity signature."""
     pts, t = path.points, path.times
-    keep = [0]
-    for i in range(1, pts.shape[0]):
-        if not np.array_equal(pts[i], pts[keep[-1]]):
-            keep.append(i)
+    keep = np.flatnonzero(np.concatenate(([True], (pts[1:] != pts[:-1]).any(axis=1))))
     if len(keep) == len(pts):
         return path
     if len(keep) < 2:

@@ -62,11 +62,6 @@ class TensorLevel:
         object.__setattr__(self, "coeffs", c)
 
     @classmethod
-    def zeros(cls, dim: int, degree: int) -> "TensorLevel":
-        check_allocation(dim, degree)
-        return cls(dim, degree, np.zeros(dim**degree))
-
-    @classmethod
     def scalar(cls, dim: int, value: float) -> "TensorLevel":
         return cls(dim, 0, np.array([value]))
 

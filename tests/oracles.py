@@ -1,7 +1,8 @@
 """Independent test oracles: a Riemann-sum signature, the Chen split of
 the insertion operator, the Chen-chain norm estimate and a per-entry
 insertion adjoint, with the small helpers only the tests use (multi-index
-offsets, path restriction, the trivial signature, the Euclidean norm).
+offsets, path restriction, the zero level and the trivial signature, the
+Euclidean norm).
 
 They check the library's results by other routes and are not part of the
 package's API.
@@ -51,10 +52,14 @@ def euclidean_norm(a: TensorLevel) -> float:
     return float(np.linalg.norm(a.coeffs))
 
 
+def zero_level(dim: int, degree: int) -> TensorLevel:
+    return TensorLevel(dim, degree, np.zeros(dim**degree))
+
+
 def trivial_signature(dim: int, depth: int) -> TruncatedSignature:
     """The signature of a constant path: (1, 0, ..., 0)."""
     levels = [TensorLevel.scalar(dim, 1.0)]
-    levels += [TensorLevel.zeros(dim, k) for k in range(1, depth + 1)]
+    levels += [zero_level(dim, k) for k in range(1, depth + 1)]
     return TruncatedSignature(dim, depth, tuple(levels))
 
 

@@ -107,6 +107,15 @@ class TestSignatureJson:
                       [(None, deep_planar_signature), ("y", deep_planar_signature)]):
             assert dumps_signatures(items) == json_dump_oracle(items)
 
+    def test_batch_levels_straddle_buffers(self, rng):
+        # 11 records of levels with 1..1024 entries: the writer's buffer of
+        # _JSON_CHUNK floats fills and is cut inside levels and records
+        items = [(str(i) if i % 3 else None, edge_signature(rng, 2, 10))
+                 for i in range(11)]
+        total = sum(sig.level(k).size for _, sig in items for k in range(11))
+        assert total > 5 * fileio._JSON_CHUNK
+        assert dumps_signatures(items) == json_dump_oracle(items)
+
     def test_writer_peak_below_one_level_of_reprs(self, deep_planar_signature):
         reprs = list(map(float.__repr__, deep_planar_signature.level(17).tolist()))
         level_reprs = sys.getsizeof(reprs) + sum(map(sys.getsizeof, reprs))
@@ -589,6 +598,21 @@ class TestBadArguments:
         assert out == ""
         assert len(err.splitlines()) == 1
         assert err.startswith("error: duplicate record id '")
+
+    @pytest.mark.parametrize("entry, name", [
+        ("true", "boolean"), ('"2.5"', "string"), ("[2.0]", "list")],
+        ids=["boolean", "numeric-string", "nested-list"])
+    def test_level_entry_not_a_number(self, tmp_path, capsys, entry, name):
+        # json.load makes 1.0, 2.5 and a one-entry list of these, which
+        # numpy would take as numbers or as a shape error
+        f = tmp_path / "typed.json"
+        good = '{"dim": 1, "depth": 2, "levels": [[1.0], [0.5], [0.125]]}'
+        f.write_text(f'[{good}, {{"dim": 1, "depth": 2, "id": "p", '
+                     f'"levels": [[1.0], [0.5], [{entry}]]}}]')
+        assert main(["invert", str(f)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: record 'p': level 2 holds a {name}, not only numbers\n"
 
     @pytest.mark.parametrize("command", [
         ["sign", "--depth", "2"], ["roundtrip", "--depths", "2"],

@@ -71,12 +71,21 @@ json_junk = st.recursive(
 )
 
 
+# What json.load makes of level entries that are not JSON numbers, and
+# numpy would take as numbers (1.0, 2.5) or as a shape error.
+non_number = st.one_of(st.booleans(), number.map(repr),
+                       st.lists(number, min_size=1, max_size=2))
+
+
 @st.composite
-def signature_record(draw):
+def signature_record(draw, only_non_number=False):
     """A signature record of the right shape; now and then one key holds
-    junk or a big integer.  Ids come often from a small pool, so that a
-    batch repeats an id or collides with the index id of a record without
-    one."""
+    junk or a big integer, or one level entry is a boolean, a numeric string
+    or a list.  Ids come often from a small pool, so that a batch repeats an
+    id or collides with the index id of a record without one.
+
+    With ``only_non_number`` the record is well formed but for one such
+    entry."""
     d = draw(st.integers(min_value=1, max_value=3))
     n = draw(st.integers(min_value=0, max_value=4))
     rec = {"dim": d, "depth": n,
@@ -85,6 +94,12 @@ def signature_record(draw):
     if draw(st.booleans()):
         rec["id"] = draw(st.one_of(st.sampled_from(["a", "0", "1"]),
                                    st.text(max_size=3)))
+    if only_non_number or draw(st.integers(min_value=0, max_value=4)) == 0:
+        level = draw(st.sampled_from(rec["levels"]))
+        level[draw(st.integers(min_value=0, max_value=len(level) - 1))] = \
+            draw(non_number)
+    if only_non_number:
+        return rec
     if draw(st.integers(min_value=0, max_value=3)) == 0:
         key = draw(st.sampled_from(["dim", "depth", "levels"]))
         rec[key] = draw(st.one_of(json_junk, st.integers(min_value=-2,
@@ -173,3 +188,14 @@ def test_main_exits_with_a_documented_code(command, data):
         assert all(math.isfinite(float(x)) for x in numbers), numbers
     else:
         assert len(lines) == 1 and lines[0].startswith("error: "), lines
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(records=st.lists(signature_record(only_non_number=True), min_size=1,
+                        max_size=3))
+def test_invert_refuses_non_number_level_entries(records):
+    payload = records[0] if len(records) == 1 else records
+    code, out, err = run_main("invert", json.dumps(payload).encode(), [])
+    assert code == 2, err
+    assert out == "" and err.startswith("error: ") and len(err.splitlines()) == 1

@@ -114,6 +114,27 @@ class TestPathSignature:
                 assert euclidean_norm(sig.levels[k]) <= \
                     ell**k / math.factorial(k) + 1e-10
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_merge_degenerate_matches_point_loop(self, seed):
+        # runs of repeated points, -0.0 next to 0.0, and (seed 5) a path
+        # of one repeated point
+        rng = np.random.default_rng(seed)
+        base = rng.integers(-2, 3, size=(12, 1 + seed % 3)).astype(float)
+        base[rng.random(12) < 0.2] = -0.0
+        pts = np.repeat(base, rng.integers(1, 4, size=12), axis=0)
+        if seed == 5:
+            pts[:] = pts[0]
+        path = PiecewiseLinearPath(pts, np.cumsum(rng.random(len(pts))))
+        keep = [0]              # reference: drop a point equal to the last kept
+        for i in range(1, len(pts)):
+            if not np.array_equal(pts[i], pts[keep[-1]]):
+                keep.append(i)
+        if len(keep) < 2:
+            keep = [0, len(pts) - 1]
+        merged = merge_degenerate(path)
+        np.testing.assert_array_equal(merged.points, pts[keep])
+        np.testing.assert_array_equal(merged.times, path.times[keep])
+
     def test_degenerate_points_merged(self):
         p = PiecewiseLinearPath([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0],
                                  [1.0, 0.0], [1.0, 1.0]])

@@ -16,7 +16,7 @@ from siginvert import (
     set_allocation_cap,
     tensor_product,
 )
-from siginvert.tensor_algebra import DEFAULT_MAX_COEFFS
+from siginvert.tensor_algebra import DEFAULT_MAX_COEFFS, check_allocation
 
 from conftest import random_path
 from oracles import (
@@ -24,6 +24,7 @@ from oracles import (
     euclidean_norm,
     multi_index_to_offset,
     offset_to_multi_index,
+    zero_level,
 )
 
 
@@ -94,7 +95,7 @@ class TestEuclideanNorm:
         assert euclidean_norm(TensorLevel(2, 2, [0.5, 0, 0, 0])) == 0.5
 
     def test_zero(self):
-        assert euclidean_norm(TensorLevel.zeros(3, 2)) == 0.0
+        assert euclidean_norm(zero_level(3, 2)) == 0.0
 
     def test_multiplicative_over_products(self, rng):
         # admissible-norm law (ii)
@@ -172,7 +173,7 @@ class TestAllocationCap:
         set_allocation_cap(1000)
         try:
             with pytest.raises(AllocationCapError, match="cap"):
-                TensorLevel.zeros(10, 4)
+                check_allocation(10, 4)
         finally:
             set_allocation_cap(DEFAULT_MAX_COEFFS)
 
