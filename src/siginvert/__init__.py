@@ -41,6 +41,7 @@ from .insertion import (
 from .signature import (
     PiecewiseLinearPath,
     SegmentGeometry,
+    batch_signature,
     chen_concat,
     constant_speed_reparam,
     linear_signature,

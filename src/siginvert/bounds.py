@@ -61,25 +61,41 @@ def probe_slot(t_prev: float, t_i: float, n: int) -> int:
 def depth_floor(inp: RecoveryBoundInput) -> float:
     """The depth the guarantee formally requires, max(n1, 2/delta);
     reported, never enforced (n1 is astronomically large for small
-    omega)."""
-    n1 = math.floor(4.0 * math.exp(2.0 * (inp.segments - 1) * k_of_omega(inp.omega)))
+    omega, and math.inf once it leaves float range)."""
+    try:
+        n1 = math.floor(4.0 * math.exp(
+            2.0 * (inp.segments - 1) * k_of_omega(inp.omega)))
+    except OverflowError:
+        n1 = math.inf
     return max(n1, 2.0 / inp.delta)
 
 
 def recovery_error_bound(inp: RecoveryBoundInput) -> float:
     """Right-hand side of the slope-error bound at probe depth k_n:
     4 ell e^{(M-1)K(omega)} (sqrt((1-D)/D)/sqrt(k_n+1) + 4 exp(-k_n D^2/16)),
-    with D the target segment's time width."""
+    with D the target segment's time width.
+
+    When e^{(M-1)K(omega)} or a partial product leaves float range, the
+    product is taken in log space: finite whenever it is representable,
+    math.inf otherwise.
+    """
     delta = inp.delta
     if delta <= 0:
         raise ValueError("target segment has non-positive width")
     k = inp.k_n
-    prefactor = 4.0 * inp.ell * math.exp(
-        (inp.segments - 1) * k_of_omega(inp.omega)
-    )
+    exponent = (inp.segments - 1) * k_of_omega(inp.omega)
     bracket = (math.sqrt((1.0 - delta) / delta) / math.sqrt(k + 1)
                + 4.0 * math.exp(-k * delta**2 / 16.0))
-    return prefactor * bracket
+    try:
+        bound = 4.0 * inp.ell * math.exp(exponent) * bracket
+    except OverflowError:
+        bound = math.inf
+    if bound < math.inf:
+        return bound
+    try:
+        return math.exp(math.log(4.0 * inp.ell) + exponent + math.log(bracket))
+    except OverflowError:
+        return math.inf
 
 
 def residual_envelope_bound(ell: float, delta: float, n: int) -> float:

@@ -27,6 +27,7 @@ from .errors import (
 from .insertion import invert_signature
 from .signature import (
     PiecewiseLinearPath,
+    batch_signature,
     constant_speed_reparam,
     merge_degenerate,
     path_signature,
@@ -105,15 +106,20 @@ def _constant_speed(path: PiecewiseLinearPath) -> PiecewiseLinearPath:
 
 def cmd_sign(args) -> int:
     _require_at_least("--depth", args.depth, 0)
-    paths = fileio.read_paths_csv(args.input)
-    records = []
-    for pid, path in paths:
-        if args.constant_speed:
-            path = _constant_speed(path)
-        records.append((pid, path_signature(path, args.depth)))
+    records = fileio.read_paths_csv(args.input)
+    paths = []
+    try:
+        for _, path in records:
+            paths.append(_constant_speed(path) if args.constant_speed else path)
+    except AssumptionViolation:
+        # a path before the one that failed reports its own failure first
+        batch_signature(paths, args.depth)
+        raise
+    sigs = batch_signature(paths, args.depth)
     out = _out_stream(args)
     try:
-        fileio.write_signatures_json(out, records)
+        fileio.write_signatures_json(out, [(pid, sig) for (pid, _), sig
+                                           in zip(records, sigs)])
     finally:
         _close_out(out)
     return EXIT_OK

@@ -266,7 +266,8 @@ def read_signatures_json(stream) -> list[tuple[str, TruncatedSignature]]:
             return read_signatures_json(fh)
     try:
         payload = json.load(stream)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+        # RecursionError: arrays or objects nested past the parser's limit
         raise InputFormatError(f"invalid JSON: {exc}") from exc
     if isinstance(payload, dict):
         payload = [payload]

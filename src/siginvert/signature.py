@@ -1,12 +1,14 @@
 """Truncated signatures of piecewise linear paths.
 
 A linear segment with displacement v has the signature exp(v), whose level
-k is v^{(x)k} / k!.  ``path_signature`` multiplies the running signature in
-place by exp(v) of each segment, right to left, with Horner's scheme: one
-scratch array per degree and O(M d^depth (d/(d-1))^2) work for M segments.
-``linear_signature`` (the per-segment closed form) and ``chen_concat``
-(Chen's identity) join two signatures and serve as the tests' oracle for
-the Horner step.
+k is v^{(x)k} / k!.  ``batch_signature`` multiplies the running signatures
+of a batch of paths in place by exp(v) of each segment, right to left, with
+Horner's scheme: one scratch array per degree and O(M d^depth (d/(d-1))^2)
+work for M segments.  The batch axis is the last axis of every level and
+scratch array, so each numpy call runs over all the paths of a chunk;
+``path_signature`` is the batch of one path.  ``linear_signature`` (the
+per-segment closed form) and ``chen_concat`` (Chen's identity) join two
+signatures and serve as the tests' oracle for the Horner step.
 """
 
 from __future__ import annotations
@@ -180,17 +182,21 @@ def chen_concat(a: TruncatedSignature, b: TruncatedSignature) -> TruncatedSignat
     return TruncatedSignature(d, a.depth, tuple(levels))
 
 
-def _check_scratch(d: int, depth: int) -> None:
-    """Refuse a Horner scratch of sum_m (depth - m + 1) d^m coefficients
-    above 4 times the allocation cap.
-
-    For d >= 2 the sum is at most (d/(d-1))^2 <= 4 top levels, which the
-    cap already bounds; for d = 1 it grows as depth^2 / 2.
-    """
+def _scratch_size(d: int, depth: int) -> int:
+    """Coefficients of one path's Horner scratch, sum_m (depth - m + 1) d^m
+    over m = 1..depth."""
     if d == 1:
-        size = depth * (depth + 1) // 2
-    else:
-        size = d * (d ** (depth + 1) - (depth + 1) * d + depth) // (d - 1) ** 2
+        return depth * (depth + 1) // 2
+    return d * (d ** (depth + 1) - (depth + 1) * d + depth) // (d - 1) ** 2
+
+
+def _check_scratch(d: int, depth: int) -> None:
+    """Refuse a Horner scratch above 4 times the allocation cap.
+
+    For d >= 2 the scratch is at most (d/(d-1))^2 <= 4 top levels, which
+    the cap already bounds; for d = 1 it grows as depth^2 / 2.
+    """
+    size = _scratch_size(d, depth)
     cap = get_allocation_cap()
     if size > 4 * cap:
         raise AllocationCapError(
@@ -200,9 +206,14 @@ def _check_scratch(d: int, depth: int) -> None:
         )
 
 
-def path_signature(path: PiecewiseLinearPath, depth: int) -> TruncatedSignature:
-    """Signature of a piecewise linear path, one in-place Horner step per
-    segment.
+# Scratch coefficients one batched sweep holds: a batch whose scratch would
+# be larger is signed in chunks of paths with similar segment counts.
+_BATCH_SCRATCH = 2**18
+
+
+def _horner_sweep(increments: np.ndarray, depth: int) -> list[np.ndarray]:
+    """Levels 0..depth, level k of shape (d**k, N), of the N paths whose
+    segment displacements are ``increments`` of shape (M, d, N).
 
     The segments are folded right to left, S <- exp(v) (x) S, with v the
     segment's displacement.  By Horner's scheme every level n >= 1 gains
@@ -212,43 +223,102 @@ def path_signature(path: PiecewiseLinearPath, depth: int) -> TruncatedSignature:
     computed from the old lower levels.  The partial products of all levels
     advance together one degree at a time, so each degree has one scratch
     array and one multiply per segment.  Folding from the right keeps the
-    length-d factor on the left of each outer product, so the inner loop
-    runs over the long contiguous axis.  Cost O(M d^depth (d/(d-1))^2)
-    multiply-adds for M segments; level 1 equals the endpoint displacement.
-    A level that overflows float64 raises AssumptionViolation, and a
-    scratch above 4 times the allocation cap raises AllocationCapError.
+    length-d factor on the left of each outer product, and the batch axis
+    is last, so numpy's inner loop runs over the N paths at every degree.
+    Entries are not checked: an overflow leaves inf or nan behind.
+    """
+    d, n = increments.shape[1:]
+    levels = [np.ones((1, n))] + [np.zeros((d**k, n)) for k in range(1, depth + 1)]
+    # Row r of scratch[m] holds the degree-m partial product of level m + r;
+    # its row 0 is complete and is added to level m.
+    scratch = [np.ones((depth + 1, 1, 1))]
+    scratch += [np.empty((depth - m + 1, d**m, n)) for m in range(1, depth + 1)]
+    inv = (1.0 / np.arange(1, depth + 1))[:, None, None, None]
+    # row r: v / (r + 1), the left factor of row r at every degree
+    vs = np.empty((depth, d, 1, n))
+    # per degree m: left and right factors, product, the rows that gain
+    # level m, and the row added to it; views made once, not per segment
+    steps = [(vs[:depth - m + 1], scratch[m - 1][1:, None],
+              scratch[m].reshape(depth - m + 1, d, -1, n),
+              scratch[m][1:], scratch[m][0], levels[m])
+             for m in range(1, depth + 1)]
+    # a zero segment (a repeated point) adds zeros: exp(0) is the identity
+    for v in increments[::-1]:
+        np.multiply(inv, v[:, None, :], out=vs)
+        for left, right, product, gaining, complete, level in steps:
+            np.multiply(left, right, out=product)
+            gaining += level
+            level += complete
+    return levels
+
+
+def batch_signature(paths, depth: int) -> list[TruncatedSignature]:
+    """Signatures of piecewise linear paths that share one dimension, in
+    input order; each equals ``path_signature`` of its path bit for bit.
+
+    The paths are sorted by segment count and signed in chunks whose Horner
+    scratch stays under ``_BATCH_SCRATCH`` coefficients, one sweep of
+    ``_horner_sweep`` per chunk.  A path with fewer segments than the
+    longest of its chunk gets zero displacements at its end; they are
+    folded first, into all-zero levels, so they leave its signature as it
+    was.  Cost O(M d^depth (d/(d-1))^2) multiply-adds per path of M
+    segments; level 1 equals the endpoint displacement.
+
+    A level that overflows float64 raises AssumptionViolation for the first
+    such path in input order, and a scratch above 4 times the allocation
+    cap raises AllocationCapError.  Paths of different dimensions raise
+    ValueError.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    d = path.dim
+    paths = list(paths)
+    if not paths:
+        return []
+    d = paths[0].dim
+    if any(p.dim != d for p in paths):
+        raise ValueError("the paths of one batch must share a dimension")
     check_allocation(d, depth)
     _check_scratch(d, depth)
-    levels = [np.ones(1)] + [np.zeros(d**k) for k in range(1, depth + 1)]
-    # Row r of scratch[m] holds the degree-m partial product of level m + r;
-    # its row 0 is complete and is added to level m.
-    scratch = [np.ones((depth + 1, 1))]
-    scratch += [np.empty((depth - m + 1, d**m)) for m in range(1, depth + 1)]
-    inv = 1.0 / np.arange(1, depth + 1)
-    # a zero segment (a repeated point) adds zeros: exp(0) is the identity
-    with np.errstate(over="ignore", invalid="ignore"):
-        for v in np.diff(path.points, axis=0)[::-1]:
-            # row r: v / (r + 1), the left factor of row r at every degree
-            vs = inv[:, None, None] * v[None, :, None]
-            for m in range(1, depth + 1):
-                rows = depth - m + 1
-                buf = scratch[m]
-                np.multiply(vs[:rows], scratch[m - 1][1:, None, :],
-                            out=buf.reshape(rows, d, -1))
-                buf[1:] += levels[m]
-                levels[m] += buf[0]
-    for k, lvl in enumerate(levels):
-        if not np.isfinite(lvl).all():
-            raise AssumptionViolation(
-                f"level {k} of the depth-{depth} signature overflows float64"
-            )
-    return TruncatedSignature(
-        d, depth, tuple(TensorLevel(d, k, lvl) for k, lvl in enumerate(levels))
-    )
+    counts = np.array([p.num_segments for p in paths])
+    order = np.argsort(counts, kind="stable")
+    chunk = max(1, _BATCH_SCRATCH // max(1, _scratch_size(d, depth)))
+    found = [None] * len(paths)
+    first_overflow = np.full(len(paths), -1)
+    for lo in range(0, len(paths), chunk):
+        idx = order[lo:lo + chunk]
+        increments = np.zeros((counts[idx[-1]], d, len(idx)))
+        # overflow is reported below, per path and level
+        with np.errstate(over="ignore", invalid="ignore"):
+            for j, i in enumerate(idx):
+                increments[:counts[i], :, j] = np.diff(paths[i].points, axis=0)
+            levels = _horner_sweep(increments, depth)
+        finite = np.array([np.isfinite(lvl).all(axis=0) for lvl in levels])
+        overflowed = ~finite.all(axis=0)
+        first_overflow[idx[overflowed]] = finite[:, overflowed].argmin(axis=0)
+        rows = [np.ascontiguousarray(lvl.T) for lvl in levels]
+        for j, i in enumerate(idx):
+            found[i] = [r[j] for r in rows]
+    failed = np.flatnonzero(first_overflow >= 0)
+    if failed.size:
+        raise AssumptionViolation(
+            f"level {first_overflow[failed[0]]} of the depth-{depth} "
+            "signature overflows float64"
+        )
+    return [
+        TruncatedSignature(d, depth, tuple(TensorLevel(d, k, lvl)
+                                           for k, lvl in enumerate(lvls)))
+        for lvls in found
+    ]
+
+
+def path_signature(path: PiecewiseLinearPath, depth: int) -> TruncatedSignature:
+    """Signature of a piecewise linear path: ``batch_signature`` of the one
+    path, one in-place Horner step per segment (see ``_horner_sweep``).
+
+    A level that overflows float64 raises AssumptionViolation, and a
+    scratch above 4 times the allocation cap raises AllocationCapError.
+    """
+    return batch_signature([path], depth)[0]
 
 
 def constant_speed_reparam(path: PiecewiseLinearPath) -> PiecewiseLinearPath:

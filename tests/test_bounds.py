@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from siginvert import (
     residual_envelope_bound,
     recovery_error_bound,
 )
+from siginvert.signature import constant_speed_reparam, segment_geometry
 
 from conftest import unit_speed_two_segment
 
@@ -158,3 +160,58 @@ class TestCompareRecovery:
             assert r.bound > 0.0 and math.isfinite(r.bound)
             assert r.satisfied == (r.measured <= r.bound)
             assert r.depth_floor >= 4.0
+
+
+def unit_zigzag(segments):
+    """Unit steps alternating along x and y: every vertex angle is pi/2."""
+    steps = np.tile([[1.0, 0.0], [0.0, 1.0]], ((segments + 1) // 2, 1))
+    return PiecewiseLinearPath(
+        np.vstack([[0.0, 0.0], np.cumsum(steps[:segments], axis=0)]))
+
+
+class TestLongKinkedPaths:
+    def test_rows_as_direct_formulas_in_float_range(self):
+        # 59 K(pi/2) = 113 and twice that stay in float range: bound and
+        # depth floor keep the bits of the direct formulas
+        p = constant_speed_reparam(unit_zigzag(60))
+        geom = segment_geometry(p)
+        kink = 59 * k_of_omega(math.pi / 2.0)
+        rows = compare_recovery(p, [6, 9])
+        assert len(rows) == 120
+        for r in rows:
+            delta = p.times[r.segment] - p.times[r.segment - 1]
+            bracket = (math.sqrt((1.0 - delta) / delta) / math.sqrt(r.depth + 1)
+                       + 4.0 * math.exp(-r.depth * delta**2 / 16.0))
+            assert r.bound == 4.0 * geom.total_variation * math.exp(kink) * bracket
+            assert r.depth_floor == max(math.floor(4.0 * math.exp(2.0 * kink)),
+                                        2.0 / delta)
+
+    @pytest.mark.parametrize("segments, bound_finite", [(190, True),
+                                                        (400, False)])
+    def test_exponent_past_float_range(self, segments, bound_finite):
+        # the depth floor's exponent 2 (M - 1) K(pi/2) passes log(max float)
+        # = 709.8 from M = 186; the bound's log, (M - 1) K(pi/2) plus
+        # log(4 ell bracket), is 363 + 9 at M = 190 and 767 + 10 at M = 400
+        rows = compare_recovery(unit_zigzag(segments), [6])
+        assert len(rows) == segments
+        for r in rows:
+            assert r.depth_floor == math.inf
+            assert math.isfinite(r.measured)
+            assert math.isfinite(r.bound) == bound_finite
+            assert r.satisfied == (r.measured <= r.bound)
+            assert r.bound > 0.0
+
+    def test_bound_in_log_space_when_representable(self):
+        # e^{(M-1)K} overflows, but ell = 1e-300 brings the product back into
+        # float range; split e^{(M-1)K} = e^{(M-1)K - 100} e^100 to check it
+        inp = RecoveryBoundInput(segments=400, breakpoints=np.linspace(0, 1, 401),
+                                 target=400, ell=1e-300, omega=math.pi / 2.0,
+                                 depth=10)
+        exponent = 399 * k_of_omega(math.pi / 2.0)
+        assert exponent > math.log(sys.float_info.max)
+        delta = inp.delta
+        bracket = (math.sqrt((1.0 - delta) / delta) / math.sqrt(11.0)
+                   + 4.0 * math.exp(-10.0 * delta**2 / 16.0))
+        want = 4e-300 * math.exp(100.0) * math.exp(exponent - 100.0) * bracket
+        assert math.isfinite(want)
+        assert recovery_error_bound(inp) == pytest.approx(want, rel=1e-12)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from siginvert import (
+    AssumptionViolation,
     InputFormatError,
     PiecewiseLinearPath,
     TruncatedSignature,
@@ -44,6 +45,17 @@ def write_path_csv_file(tmp_path, name, points, times=None, pid=None):
                 + ([format_float(times[i])] if times is not None else []) \
                 + [format_float(c) for c in p]
             fh.write(",".join(row) + "\n")
+    return str(f)
+
+
+def write_paths_file(tmp_path, name, paths):
+    """A multi-path CSV with an id column: ``paths`` maps ids to points."""
+    f = tmp_path / name
+    with f.open("w") as fh:
+        fh.write("id,x1,x2\n")
+        for pid, pts in paths.items():
+            for x, y in pts:
+                fh.write(f"{pid},{format_float(x)},{format_float(y)}\n")
     return str(f)
 
 
@@ -330,6 +342,44 @@ class TestSignInvertCli:
         for _, recon in out:
             assert recon.points.shape == (4, 2)
 
+    def test_sign_batch_bytes_equal_per_path_records(self, tmp_path, rng):
+        paths = {"long": rng.normal(size=(11, 2)), "two": rng.normal(size=(2, 2)),
+                 "five": rng.normal(size=(5, 2))}
+        paths["five"][3] = paths["five"][2]   # a repeated point
+        f = write_paths_file(tmp_path, "p.csv", paths)
+        out_file = tmp_path / "sigs.json"
+        assert main(["sign", f, "--depth", "7", "--out", str(out_file)]) == 0
+        want = [(pid, path_signature(path, 7)) for pid, path in read_paths_csv(f)]
+        assert [pid for pid, _ in want] == ["long", "two", "five"]
+        assert out_file.read_text() == dumps_signatures(want)
+
+    def test_sign_reports_first_failing_path(self, tmp_path, capsys):
+        # the second path overflows at level 2; the third overflows at
+        # level 1 and, having fewer segments, is signed in the batch first
+        second = PiecewiseLinearPath([[0.0, 0.0], [1e300, 1.0], [1e300, 2.0]])
+        with pytest.raises(AssumptionViolation) as info:
+            path_signature(second, 3)
+        paths = {"a": [[0.0, 0.0], [1.0, 0.5], [2.0, 0.0]],
+                 "b": second.points, "c": [[-1.7e308, 0.0], [1.7e308, 0.0]]}
+        f = write_paths_file(tmp_path, "p.csv", paths)
+        out_file = tmp_path / "sigs.json"
+        assert main(["sign", f, "--depth", "3", "--out", str(out_file)]) == 4
+        assert capsys.readouterr().err == f"error: {info.value}\n"
+        assert not out_file.exists()
+
+    @pytest.mark.parametrize("order", [["big", "flat"], ["flat", "big"]])
+    def test_sign_constant_speed_reports_first_failing_path(
+            self, tmp_path, capsys, order):
+        # one path overflows, the other cannot be reparameterized: the
+        # error is the first path's, as when the paths are signed in turn
+        paths = {"big": [[0.0, 0.0], [1e100, 1.0]], "flat": [[1.0, 2.0]] * 3}
+        f = write_paths_file(tmp_path, "p.csv", {k: paths[k] for k in order})
+        assert main(["sign", f, "--depth", "4", "--constant-speed"]) == 4
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert ("overflows float64" in err) == (order[0] == "big")
+        assert ("cannot reparameterize" in err) == (order[0] == "flat")
+
     def test_degenerate_record_becomes_error_row(self, tmp_path, capsys):
         good = path_signature(PiecewiseLinearPath([[0.0, 0.0], [1.0, 0.0]]), 3)
         bad = {"id": "zero", "dim": 2, "depth": 3,
@@ -576,6 +626,18 @@ class TestBadArguments:
         f = tmp_path / "big.json"
         f.write_text('{"dim": 1, "depth": 2, "levels": [[1.0], [1.0], [1'
                      + "0" * 400 + ']]}')
+        assert main(["invert", str(f)]) == 2
+        assert_one_error_line(capsys)
+
+    @pytest.mark.parametrize("text", [
+        "[" * 100000 + "]" * 100000,
+        '{"dim": 1, "depth": 2, "levels": [[1.0], [0.5], [0.125]], "id": '
+        + "[" * 50000 + "]" * 50000 + "}",
+    ], ids=["nested-arrays", "nested-id"])
+    def test_deeply_nested_json(self, tmp_path, capsys, text):
+        # json.load raises RecursionError past its nesting limit
+        f = tmp_path / "deep.json"
+        f.write_text(text)
         assert main(["invert", str(f)]) == 2
         assert_one_error_line(capsys)
 

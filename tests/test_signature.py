@@ -7,6 +7,7 @@ from siginvert import (
     AllocationCapError,
     AssumptionViolation,
     PiecewiseLinearPath,
+    batch_signature,
     chen_concat,
     constant_speed_reparam,
     linear_signature,
@@ -15,6 +16,7 @@ from siginvert import (
     segment_geometry,
     set_allocation_cap,
 )
+from siginvert import signature
 from siginvert.tensor_algebra import get_allocation_cap
 
 from conftest import random_path
@@ -244,6 +246,76 @@ class TestHornerKernel:
         p = PiecewiseLinearPath([[0.0, 0.0], end])
         with pytest.raises(AssumptionViolation, match="overflows float64"):
             path_signature(p, 3)
+
+
+def assert_bitwise_equal(got, want):
+    assert (got.dim, got.depth) == (want.dim, want.depth)
+    for k in range(want.depth + 1):
+        assert got.level(k).tobytes() == want.level(k).tobytes(), k
+
+
+def overflow_message(paths, depth):
+    """The message the first overflowing path raises when each path is
+    signed in turn."""
+    with pytest.raises(AssumptionViolation) as info:
+        for p in paths:
+            path_signature(p, depth)
+    return str(info.value)
+
+
+class TestBatchSignature:
+    @pytest.mark.parametrize("dim", [1, 2, 3, 5])
+    @pytest.mark.parametrize("depth", [0, 1, 2, 6, 9])
+    def test_equals_path_signature_loop(self, rng, monkeypatch, dim, depth):
+        # segment counts 1..40 in random order, repeated points, and chunks
+        # of 7 paths, so that chunks mix counts and pad the shorter paths
+        big = dim**depth > 10**5
+        counts = [1, 3, 2] if big else rng.integers(1, 41, size=30)
+        paths = [irregular_path(rng, int(m), dim, scale)
+                 for m, scale in zip(counts, [1e-2, 1.0, 1e2] * 10)]
+        per_path = max(1, signature._scratch_size(dim, depth))
+        monkeypatch.setattr(signature, "_BATCH_SCRATCH", 7 * per_path)
+        got = batch_signature(paths, depth)
+        assert len(got) == len(paths)
+        for sig, p in zip(got, paths):
+            assert_bitwise_equal(sig, path_signature(p, depth))
+
+    def test_default_budget_chunks_keep_input_order(self, rng):
+        # alternating segment counts over both chunks of the default
+        # budget (d = 2, depth 6: 1,092 paths a chunk)
+        counts = [40, 1, 25, 3, 40, 2] * 200
+        paths = [irregular_path(rng, m, 2, 1.0) for m in counts]
+        assert len(paths) > signature._BATCH_SCRATCH // signature._scratch_size(2, 6)
+        got = batch_signature(paths, 6)
+        for sig, p in zip(got, paths):
+            np.testing.assert_allclose(sig.level(1),
+                                       p.points[-1] - p.points[0], atol=1e-12)
+        for i in range(0, len(paths), 23):
+            assert_bitwise_equal(got[i], path_signature(paths[i], 6))
+
+    def test_first_overflow_in_input_order(self):
+        good = PiecewiseLinearPath([[0.0, 0.0], [1.0, 0.5], [0.2, 1.0],
+                                    [0.3, 0.3], [0.0, 1.0], [2.0, 2.0]])
+        # level 2 overflows; two segments
+        late = PiecewiseLinearPath([[0.0, 0.0], [1e300, 1.0], [1e300, 2.0]])
+        # level 1 overflows; one segment, so it sorts before the others
+        early = PiecewiseLinearPath([[-1.7e308, 0.0], [1.7e308, 0.0]])
+        for paths in ([good, late, early], [good, early, late]):
+            want = overflow_message(paths, 3)
+            with pytest.raises(AssumptionViolation) as info:
+                batch_signature(paths, 3)
+            assert str(info.value) == want
+        assert "level 2 " in overflow_message([good, late, early], 3)
+
+    def test_mixed_dimensions_refused(self):
+        with pytest.raises(ValueError, match="share a dimension"):
+            batch_signature([PiecewiseLinearPath([[0.0, 0.0], [1.0, 1.0]]),
+                             PiecewiseLinearPath([[0.0], [1.0]])], 3)
+
+    def test_empty_batch(self):
+        assert batch_signature([], 4) == []
+        with pytest.raises(ValueError):
+            batch_signature([], -1)
 
 
 class TestRiemannOracle:
