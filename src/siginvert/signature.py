@@ -206,8 +206,8 @@ def _check_scratch(d: int, depth: int) -> None:
         )
 
 
-# Scratch coefficients one batched sweep holds: a batch whose scratch would
-# be larger is signed in chunks of paths with similar segment counts.
+# Scratch coefficients one batched sweep holds: a batch of paths with equal
+# segment counts whose scratch would be larger is signed in chunks.
 _BATCH_SCRATCH = 2**18
 
 
@@ -256,13 +256,12 @@ def batch_signature(paths, depth: int) -> list[TruncatedSignature]:
     """Signatures of piecewise linear paths that share one dimension, in
     input order; each equals ``path_signature`` of its path bit for bit.
 
-    The paths are sorted by segment count and signed in chunks whose Horner
-    scratch stays under ``_BATCH_SCRATCH`` coefficients, one sweep of
-    ``_horner_sweep`` per chunk.  A path with fewer segments than the
-    longest of its chunk gets zero displacements at its end; they are
-    folded first, into all-zero levels, so they leave its signature as it
-    was.  Cost O(M d^depth (d/(d-1))^2) multiply-adds per path of M
-    segments; level 1 equals the endpoint displacement.
+    Paths with equal segment counts are signed together, one sweep of
+    ``_horner_sweep`` per chunk whose Horner scratch stays under
+    ``_BATCH_SCRATCH`` coefficients; a path whose count no other path
+    shares is signed alone.  Each signature owns its arrays.  Cost
+    O(M d^depth (d/(d-1))^2) multiply-adds per path of M segments; level 1
+    equals the endpoint displacement.
 
     A level that overflows float64 raises AssumptionViolation for the first
     such path in input order, and a scratch above 4 times the allocation
@@ -281,23 +280,24 @@ def batch_signature(paths, depth: int) -> list[TruncatedSignature]:
     _check_scratch(d, depth)
     counts = np.array([p.num_segments for p in paths])
     order = np.argsort(counts, kind="stable")
+    groups = np.split(order, np.flatnonzero(np.diff(counts[order])) + 1)
     chunk = max(1, _BATCH_SCRATCH // max(1, _scratch_size(d, depth)))
     found = [None] * len(paths)
     first_overflow = np.full(len(paths), -1)
-    for lo in range(0, len(paths), chunk):
-        idx = order[lo:lo + chunk]
-        increments = np.zeros((counts[idx[-1]], d, len(idx)))
+    for idx in (g[lo:lo + chunk] for g in groups for lo in range(0, len(g), chunk)):
         # overflow is reported below, per path and level
         with np.errstate(over="ignore", invalid="ignore"):
-            for j, i in enumerate(idx):
-                increments[:counts[i], :, j] = np.diff(paths[i].points, axis=0)
+            increments = np.stack([np.diff(paths[i].points, axis=0) for i in idx],
+                                  axis=-1)
             levels = _horner_sweep(increments, depth)
         finite = np.array([np.isfinite(lvl).all(axis=0) for lvl in levels])
         overflowed = ~finite.all(axis=0)
         first_overflow[idx[overflowed]] = finite[:, overflowed].argmin(axis=0)
-        rows = [np.ascontiguousarray(lvl.T) for lvl in levels]
         for j, i in enumerate(idx):
-            found[i] = [r[j] for r in rows]
+            # a path of a wider chunk gets its own copy, not a view that
+            # would keep the chunk's levels alive
+            found[i] = [lvl[:, j].copy() if len(idx) > 1 else lvl[:, j]
+                        for lvl in levels]
     failed = np.flatnonzero(first_overflow >= 0)
     if failed.size:
         raise AssumptionViolation(

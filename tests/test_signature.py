@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -267,31 +268,55 @@ class TestBatchSignature:
     @pytest.mark.parametrize("dim", [1, 2, 3, 5])
     @pytest.mark.parametrize("depth", [0, 1, 2, 6, 9])
     def test_equals_path_signature_loop(self, rng, monkeypatch, dim, depth):
-        # segment counts 1..40 in random order, repeated points, and chunks
-        # of 7 paths, so that chunks mix counts and pad the shorter paths
+        # segment counts 1..40 in random order, some shared by 5 paths and
+        # some by one, repeated points, and chunks of 3 paths, so that the
+        # paths of one count fill more than one chunk
         big = dim**depth > 10**5
-        counts = [1, 3, 2] if big else rng.integers(1, 41, size=30)
+        counts = [1, 3, 2, 3] if big else rng.permutation(np.concatenate(
+            [np.repeat(rng.integers(1, 41, size=5), 5), rng.integers(1, 41, size=5)]))
         paths = [irregular_path(rng, int(m), dim, scale)
                  for m, scale in zip(counts, [1e-2, 1.0, 1e2] * 10)]
         per_path = max(1, signature._scratch_size(dim, depth))
-        monkeypatch.setattr(signature, "_BATCH_SCRATCH", 7 * per_path)
+        monkeypatch.setattr(signature, "_BATCH_SCRATCH", 3 * per_path)
         got = batch_signature(paths, depth)
         assert len(got) == len(paths)
         for sig, p in zip(got, paths):
             assert_bitwise_equal(sig, path_signature(p, depth))
 
     def test_default_budget_chunks_keep_input_order(self, rng):
-        # alternating segment counts over both chunks of the default
-        # budget (d = 2, depth 6: 1,092 paths a chunk)
-        counts = [40, 1, 25, 3, 40, 2] * 200
+        # alternating segment counts, with more 3-segment paths than one
+        # chunk of the default budget holds (d = 2, depth 6: 1,092 paths)
+        counts = [3, 1, 3, 40, 3, 3] * 300
         paths = [irregular_path(rng, m, 2, 1.0) for m in counts]
-        assert len(paths) > signature._BATCH_SCRATCH // signature._scratch_size(2, 6)
+        assert counts.count(3) > signature._BATCH_SCRATCH // signature._scratch_size(2, 6)
         got = batch_signature(paths, 6)
         for sig, p in zip(got, paths):
             np.testing.assert_allclose(sig.level(1),
                                        p.points[-1] - p.points[0], atol=1e-12)
         for i in range(0, len(paths), 23):
             assert_bitwise_equal(got[i], path_signature(paths[i], 6))
+
+    def test_skewed_batch_memory_is_bounded(self, rng):
+        # many one-segment paths and one long one: paths are signed with
+        # those of their own segment count, so no short path is padded to
+        # the long one's 20,000 segments (80 MB for the batch)
+        long = PiecewiseLinearPath(np.cumsum(rng.normal(size=(20_001, 1)), axis=0))
+        paths = [PiecewiseLinearPath(rng.normal(size=(2, 1))) for _ in range(500)]
+        tracemalloc.start()
+        try:
+            got = batch_signature(paths + [long], 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+        assert_bitwise_equal(got[-1], path_signature(long, 2))
+
+    def test_signatures_own_their_levels(self, rng):
+        # a kept signature must not hold the levels of its whole chunk
+        got = batch_signature([irregular_path(rng, 4, 2, 1.0) for _ in range(5)], 3)
+        for sig in got:
+            for k in range(4):
+                assert sig.level(k).base is None
 
     def test_first_overflow_in_input_order(self):
         good = PiecewiseLinearPath([[0.0, 0.0], [1.0, 0.5], [0.2, 1.0],
