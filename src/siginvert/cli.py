@@ -27,10 +27,11 @@ from .errors import (
 from .insertion import invert_signature
 from .signature import (
     PiecewiseLinearPath,
+    _segment_lengths,
     batch_signature,
     constant_speed_reparam,
-    merge_degenerate,
     path_signature,
+    segment_geometry,
 )
 from .tensor_algebra import (
     check_allocation,
@@ -52,7 +53,7 @@ RESAMPLE_POINTS = 200
 def resample_arclength(points: np.ndarray, count: int) -> np.ndarray:
     """Resample a polyline at ``count`` points equally spaced in arc length."""
     points = np.asarray(points, dtype=np.float64)
-    seg = np.linalg.norm(np.diff(points, axis=0), axis=1)
+    seg = _segment_lengths(np.diff(points, axis=0))
     s = np.concatenate(([0.0], np.cumsum(seg)))
     if s[-1] == 0.0:
         return np.repeat(points[:1], count, axis=0)
@@ -97,25 +98,10 @@ def _require_at_least(flag: str, value: int, least: int) -> None:
         raise InputFormatError(f"{flag} must be >= {least}, got {value}")
 
 
-def _constant_speed(path: PiecewiseLinearPath) -> PiecewiseLinearPath:
-    try:
-        return constant_speed_reparam(path)
-    except ValueError as exc:  # zero length: no constant-speed parameterization
-        raise AssumptionViolation(f"cannot reparameterize: {exc}") from exc
-
-
 def cmd_sign(args) -> int:
     _require_at_least("--depth", args.depth, 0)
     records = fileio.read_paths_csv(args.input)
-    paths = []
-    try:
-        for _, path in records:
-            paths.append(_constant_speed(path) if args.constant_speed else path)
-    except AssumptionViolation:
-        # a path before the one that failed reports its own failure first
-        batch_signature(paths, args.depth)
-        raise
-    sigs = batch_signature(paths, args.depth)
+    sigs = batch_signature([p for _, p in records], args.depth)
     out = _out_stream(args)
     try:
         fileio.write_signatures_json(out, [(pid, sig) for (pid, _), sig
@@ -209,21 +195,21 @@ def cmd_trend(args) -> int:
 
 
 def normalize_unit_length(path: PiecewiseLinearPath) -> PiecewiseLinearPath:
-    """Scaling to total variation 1 plus constant-speed reparameterization.
+    """Constant-speed reparameterization plus scaling to total variation 1.
 
-    The length is summed over displacements divided by the largest one, so
-    that squares neither overflow nor underflow; a length that float64
-    cannot scale to 1 is an AssumptionViolation.
+    A path that cannot be reparameterized, or whose length float64 cannot
+    scale to 1, is an AssumptionViolation.
     """
-    path = merge_degenerate(path)
-    disp = np.diff(path.points, axis=0)
-    top = float(np.abs(disp).max())
-    ell = top * float(np.linalg.norm(disp / top, axis=1).sum()) if top else 0.0
-    if not 0.0 < ell < math.inf or 1.0 / ell == math.inf:
+    try:
+        path = constant_speed_reparam(path)
+    except ValueError as exc:
+        raise AssumptionViolation(f"cannot reparameterize: {exc}") from exc
+    ell = segment_geometry(path).total_variation
+    if 1.0 / ell == math.inf:
         raise AssumptionViolation(
             f"a path of length {ell} cannot be scaled to length 1 in float64"
         )
-    return _constant_speed(path.scaled(1.0 / ell))
+    return path.scaled(1.0 / ell)
 
 
 def cmd_develop(args) -> int:
@@ -262,8 +248,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="truncated signature of CSV path(s), as JSON")
     p.add_argument("input", help="path CSV file")
     p.add_argument("--depth", type=int, required=True)
-    p.add_argument("--constant-speed", action="store_true",
-                   help="reparameterize first (signature is unchanged)")
     p.set_defaults(func=cmd_sign)
 
     p = sub.add_parser("invert", parents=[common],

@@ -20,7 +20,6 @@ buffer of ``_JSON_CHUNK`` level entries at a time.
 from __future__ import annotations
 
 import csv
-import io
 import json
 import math
 import numbers
@@ -94,20 +93,12 @@ def read_paths_csv(stream) -> list[tuple[str, PiecewiseLinearPath]]:
     out = []
     for pid in order:
         recs = groups[pid]
-        if len(recs) < 2:
-            raise InputFormatError(f"path {pid!r} has fewer than 2 points")
         pts = np.array([c for _, c in recs])
-        times = None
-        if t_col is not None:
-            times = np.array([t for t, _ in recs])
-            if np.any(np.diff(times) <= 0):
-                raise InputFormatError(
-                    f"times not strictly increasing for path {pid!r}"
-                )
+        times = np.array([t for t, _ in recs]) if t_col is not None else None
         try:
             out.append((pid, PiecewiseLinearPath(pts, times)))
         except ValueError as exc:
-            raise InputFormatError(str(exc)) from exc
+            raise InputFormatError(f"path {pid!r}: {exc}") from exc
     return out
 
 
@@ -136,17 +127,6 @@ def write_paths_csv(stream, records, errors=None, dim=None) -> None:
                        + [format_float(c) for c in pt] + [""])
     for pid, message in errors.items():
         w.writerow([pid, ""] + [""] * dim + [message])
-
-
-def signature_to_record(sig: TruncatedSignature, path_id: str | None = None) -> dict:
-    rec = {
-        "dim": sig.dim,
-        "depth": sig.depth,
-        "levels": [sig.level(k).tolist() for k in range(sig.depth + 1)],
-    }
-    if path_id is not None:
-        rec["id"] = path_id
-    return rec
 
 
 # JSON's names for the Python types json.load makes of its non-numbers
@@ -208,7 +188,8 @@ def write_signatures_json(stream, sigs_with_ids) -> None:
     """Write records (a bare object for one, an array for a batch).
 
     The bytes are those ``json.dump(payload, stream, indent=2)`` plus a
-    newline writes for the ``signature_to_record`` records.  Level entries
+    newline writes for records {"dim", "depth", "levels"} with "id" last
+    when it is not None (one object for one record).  Level entries
     pass through one buffer of ``_JSON_CHUNK`` floats, across level and
     record boundaries; each full buffer is formatted at once and its text
     cut at those boundaries.  A non-finite level entry raises ValueError
@@ -288,8 +269,3 @@ def read_signatures_json(stream) -> list[tuple[str, TruncatedSignature]]:
             raise InputFormatError(f"record {pid!r}: {exc}") from exc
     return out
 
-
-def dumps_signatures(sigs_with_ids) -> str:
-    buf = io.StringIO()
-    write_signatures_json(buf, sigs_with_ids)
-    return buf.getvalue()

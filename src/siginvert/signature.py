@@ -32,9 +32,11 @@ ANGLE_TOL = 1e-9
 
 @dataclass(frozen=True)
 class PiecewiseLinearPath:
-    """Ordered points in R^d with strictly increasing times in [0, 1].
+    """Ordered points in R^d with strictly increasing times.
 
-    Times default to the uniform grid i/M when not provided.
+    Times default to the uniform grid i/M on [0, 1].  Fewer than 2 points,
+    a times array of another length, and times that are not finite and
+    strictly increasing raise ValueError; the points are not checked.
     """
 
     points: np.ndarray
@@ -43,7 +45,7 @@ class PiecewiseLinearPath:
     def __post_init__(self):
         pts = np.atleast_2d(np.asarray(self.points, dtype=np.float64))
         if pts.ndim != 2 or pts.shape[0] < 2:
-            raise ValueError("a path needs at least 2 points in R^d")
+            raise ValueError("fewer than 2 points in R^d")
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
         m = pts.shape[0] - 1
@@ -53,8 +55,9 @@ class PiecewiseLinearPath:
             t = np.asarray(self.times, dtype=np.float64)
             if t.shape != (m + 1,):
                 raise ValueError("times must have one entry per point")
-            if np.any(np.diff(t) <= 0):
-                raise ValueError("times must be strictly increasing")
+            # nan fails every comparison, and finite ends bound the rest
+            if not (np.all(np.diff(t) > 0) and np.isfinite(t[[0, -1]]).all()):
+                raise ValueError("times must be finite and strictly increasing")
         t.setflags(write=False)
         object.__setattr__(self, "times", t)
 
@@ -105,11 +108,23 @@ class SegmentGeometry:
     tree_like_backtrack: bool    # some omega_i == 0 (path retraces itself)
 
 
+def _segment_lengths(disp: np.ndarray) -> np.ndarray:
+    """Euclidean lengths of the rows of ``disp``, without overflow.
+
+    Each row is scaled by the power of two of its largest |entry| before
+    ``np.linalg.norm`` and back after.  Power-of-two scaling is exact, so
+    a length whose squares stay in float64 range keeps the bits of
+    ``np.linalg.norm(disp, axis=1)``.
+    """
+    _, exp = np.frexp(np.abs(disp).max(axis=1))
+    return np.ldexp(np.linalg.norm(np.ldexp(disp, -exp[:, None]), axis=1), exp)
+
+
 def segment_geometry(path: PiecewiseLinearPath) -> SegmentGeometry:
     dt = np.diff(path.times)
     disp = np.diff(path.points, axis=0)
     slopes = disp / dt[:, None]
-    lengths = np.linalg.norm(disp, axis=1)
+    lengths = _segment_lengths(disp)
     nz = lengths > 0  # zero segments have no slope direction or angle
     if not np.any(nz):
         raise ValueError("path has no non-degenerate segment")
@@ -322,12 +337,16 @@ def path_signature(path: PiecewiseLinearPath, depth: int) -> TruncatedSignature:
 
 
 def constant_speed_reparam(path: PiecewiseLinearPath) -> PiecewiseLinearPath:
-    """Replace the times so that every slope has norm ell (the length)."""
+    """Replace the times so that every slope has norm ell (the length).
+
+    Repeated points are merged first.  A length outside (0, inf), or a
+    segment too short to advance the time in float64, raises ValueError.
+    """
     path = merge_degenerate(path)
-    seg_len = np.linalg.norm(np.diff(path.points, axis=0), axis=1)
+    seg_len = _segment_lengths(np.diff(path.points, axis=0))
     ell = seg_len.sum()
-    if ell <= 0:
-        raise ValueError("zero-length path cannot be reparameterized")
+    if not 0.0 < ell < math.inf:
+        raise ValueError(f"a path of length {ell} cannot be reparameterized")
     u = np.concatenate(([0.0], np.cumsum(seg_len) / ell))
     u[-1] = 1.0
     return PiecewiseLinearPath(path.points, u)

@@ -2,11 +2,13 @@
 the insertion operator, the Chen-chain norm estimate and a per-entry
 insertion adjoint, with the small helpers only the tests use (multi-index
 offsets, path restriction, the zero level and the trivial signature, the
-Euclidean norm).
+Euclidean norm, signature records as dicts and as JSON text).
 
 They check the library's results by other routes and are not part of the
 package's API.
 """
+
+import io
 
 import numpy as np
 
@@ -17,6 +19,7 @@ from siginvert import (
     insertion_apply,
     path_signature,
 )
+from siginvert.fileio import write_signatures_json
 from siginvert.insertion import _check_slot
 
 
@@ -166,3 +169,22 @@ def chen_lower_bound_chain(sig: TruncatedSignature, alpha: float) -> float:
     for k in range(1, sig.depth + 1):
         total += alpha**k * float(np.linalg.norm(sig.level(k)))
     return total
+
+
+def signature_to_record(sig: TruncatedSignature, path_id: str | None = None) -> dict:
+    """The JSON record of a signature as a dict, "id" last when given."""
+    rec = {
+        "dim": sig.dim,
+        "depth": sig.depth,
+        "levels": [sig.level(k).tolist() for k in range(sig.depth + 1)],
+    }
+    if path_id is not None:
+        rec["id"] = path_id
+    return rec
+
+
+def dumps_signatures(sigs_with_ids) -> str:
+    """The text ``write_signatures_json`` writes for these records."""
+    buf = io.StringIO()
+    write_signatures_json(buf, sigs_with_ids)
+    return buf.getvalue()

@@ -20,16 +20,15 @@ from siginvert import (
 from siginvert import fileio
 from siginvert.cli import main, resample_arclength, roundtrip_errors
 from siginvert.fileio import (
-    dumps_signatures,
     format_float,
     read_paths_csv,
     read_signatures_json,
     record_to_signature,
-    signature_to_record,
     write_paths_csv,
 )
 
 from conftest import random_path
+from oracles import dumps_signatures, signature_to_record
 
 
 def write_path_csv_file(tmp_path, name, points, times=None, pid=None):
@@ -232,6 +231,12 @@ class TestPathCsv:
         with pytest.raises(InputFormatError, match="strictly increasing"):
             read_paths_csv(io.StringIO("t,x1\n0.0,1.0\n0.0,2.0\n"))
 
+    def test_repeated_times_name_the_path(self):
+        text = "id,t,x1\na,0,0\na,1,1\nb,0,0\nb,0,1\n"
+        with pytest.raises(InputFormatError,
+                           match="path 'b': .*strictly increasing"):
+            read_paths_csv(io.StringIO(text))
+
     def test_single_point_path(self):
         with pytest.raises(InputFormatError, match="fewer than 2"):
             read_paths_csv(io.StringIO("x1,x2\n1.0,2.0\n"))
@@ -279,16 +284,6 @@ class TestSignInvertCli:
         assert rec["levels"][0] == [1.0]
         assert rec["levels"][1] == [1.0, 1.0]
         assert rec["levels"][2] == [0.5, 0.5, 0.5, 0.5]
-
-    def test_constant_speed_flag_same_signature(self, tmp_path, capsys):
-        pts = [[0.0, 0.0], [3.0, 0.0], [3.0, 1.0]]
-        f = write_path_csv_file(tmp_path, "p.csv", pts)
-        assert main(["sign", f, "--depth", "3"]) == 0
-        plain = json.loads(capsys.readouterr().out)
-        assert main(["sign", f, "--depth", "3", "--constant-speed"]) == 0
-        reparam = json.loads(capsys.readouterr().out)
-        for a, b in zip(plain["levels"], reparam["levels"]):
-            np.testing.assert_allclose(a, b, atol=1e-12)
 
     def test_sign_then_invert_linear(self, tmp_path):
         f = write_path_csv_file(tmp_path, "p.csv", [[0.5, -1.0], [1.5, 2.0]])
@@ -366,19 +361,6 @@ class TestSignInvertCli:
         assert main(["sign", f, "--depth", "3", "--out", str(out_file)]) == 4
         assert capsys.readouterr().err == f"error: {info.value}\n"
         assert not out_file.exists()
-
-    @pytest.mark.parametrize("order", [["big", "flat"], ["flat", "big"]])
-    def test_sign_constant_speed_reports_first_failing_path(
-            self, tmp_path, capsys, order):
-        # one path overflows, the other cannot be reparameterized: the
-        # error is the first path's, as when the paths are signed in turn
-        paths = {"big": [[0.0, 0.0], [1e100, 1.0]], "flat": [[1.0, 2.0]] * 3}
-        f = write_paths_file(tmp_path, "p.csv", {k: paths[k] for k in order})
-        assert main(["sign", f, "--depth", "4", "--constant-speed"]) == 4
-        err = capsys.readouterr().err
-        assert len(err.splitlines()) == 1
-        assert ("overflows float64" in err) == (order[0] == "big")
-        assert ("cannot reparameterize" in err) == (order[0] == "flat")
 
     def test_degenerate_record_becomes_error_row(self, tmp_path, capsys):
         good = path_signature(PiecewiseLinearPath([[0.0, 0.0], [1.0, 0.0]]), 3)
@@ -696,11 +678,6 @@ class TestBadArguments:
     def test_develop_constant_path(self, tmp_path, capsys):
         f = write_path_csv_file(tmp_path, "c.csv", [[1.0, 2.0], [1.0, 2.0]])
         assert main(["develop", f]) == 4
-        assert_one_error_line(capsys)
-
-    def test_sign_constant_speed_constant_path(self, tmp_path, capsys):
-        f = write_path_csv_file(tmp_path, "c.csv", [[1.0, 2.0], [1.0, 2.0]])
-        assert main(["sign", f, "--depth", "2", "--constant-speed"]) == 4
         assert_one_error_line(capsys)
 
     @pytest.mark.parametrize("argv", [

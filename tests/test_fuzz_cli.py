@@ -128,8 +128,7 @@ max_coeffs = st.one_of(
         lambda n: [f"--max-coeffs={n}"]),
 )
 COMMANDS = {
-    "sign": (csv_bytes, st.tuples(depth, st.booleans()).map(
-        lambda a: [f"--depth={a[0]}"] + ["--constant-speed"] * a[1])),
+    "sign": (csv_bytes, depth.map(lambda n: [f"--depth={n}"])),
     "invert": (json_bytes, st.one_of(
         st.just([]),
         st.lists(number, min_size=1, max_size=3).map(

@@ -367,6 +367,32 @@ class TestRiemannOracle:
             riemann_oracle(p, 30, 10**6)
 
 
+class TestPathChecks:
+    @pytest.mark.parametrize("times", [
+        [0.0, math.nan, 1.0], [0.0, 0.5, math.inf], [-math.inf, 0.5, 1.0],
+    ])
+    def test_non_finite_times_refused(self, times):
+        with pytest.raises(ValueError, match="finite and strictly increasing"):
+            PiecewiseLinearPath([[0.0], [1.0], [2.0]], times)
+
+
+class TestSegmentLengths:
+    def test_equal_plain_norm_bitwise(self, rng):
+        for d in range(1, 6):
+            disp = rng.standard_normal((2000, d)) \
+                * 10.0 ** rng.uniform(-100, 100, size=(2000, 1))
+            got = signature._segment_lengths(disp)
+            assert got.tobytes() == np.linalg.norm(disp, axis=1).tobytes()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_extreme_scales(self):
+        disp = np.array([[1e-200, 1e-200], [1e200, -1e200]])
+        got = signature._segment_lengths(disp)
+        assert np.all(np.isfinite(got)) and np.all(got > 0)
+        np.testing.assert_allclose(got, math.sqrt(2.0) * np.array([1e-200, 1e200]),
+                                   rtol=1e-15)
+
+
 class TestConstantSpeedReparam:
     def test_already_constant_speed(self):
         p = PiecewiseLinearPath([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
@@ -395,6 +421,15 @@ class TestConstantSpeedReparam:
         p = PiecewiseLinearPath([[1.0, 1.0], [1.0, 1.0]])
         with pytest.raises(ValueError):
             constant_speed_reparam(p)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_huge_coordinates(self):
+        # squared lengths overflow float64; the lengths themselves do not
+        p = PiecewiseLinearPath([[0.0, 0.0], [1e200, 0.0], [1e200, 1e200]])
+        np.testing.assert_array_equal(constant_speed_reparam(p).times,
+                                      [0.0, 0.5, 1.0])
+        np.testing.assert_array_equal(segment_geometry(p).lengths,
+                                      [1e200, 1e200])
 
 
 class TestSegmentGeometry:
