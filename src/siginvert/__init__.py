@@ -12,14 +12,10 @@ from .bounds import (
 )
 from .development import (
     BoundReport,
-    DevelopmentMatrix,
-    basepoint,
     develop,
     develop_checkpoints,
     f_map,
-    hyperbolic_distance,
     k_of_omega,
-    minkowski_b,
     norm_lower_bound_check,
     segment_transport,
 )

@@ -8,6 +8,7 @@ bad argument value), 3 numeric guard (norm-too-small or allocation cap),
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import json
@@ -84,13 +85,14 @@ def random_benchmark_path(rng, dim: int, pieces: int = 10) -> PiecewiseLinearPat
 # -- subcommands ----------------------------------------------------------
 
 
-def _out_stream(args):
-    return open(args.out, "w", newline="") if args.out else sys.stdout
-
-
-def _close_out(stream):
-    if stream is not sys.stdout:
-        stream.close()
+@contextlib.contextmanager
+def _output(args):
+    """The ``--out`` file, closed on leaving, or stdout without one."""
+    if not args.out:
+        yield sys.stdout
+        return
+    with open(args.out, "w", newline="") as fh:
+        yield fh
 
 
 def _require_at_least(flag: str, value: int, least: int) -> None:
@@ -102,12 +104,9 @@ def cmd_sign(args) -> int:
     _require_at_least("--depth", args.depth, 0)
     records = fileio.read_paths_csv(args.input)
     sigs = batch_signature([p for _, p in records], args.depth)
-    out = _out_stream(args)
-    try:
+    with _output(args) as out:
         fileio.write_signatures_json(out, [(pid, sig) for (pid, _), sig
                                            in zip(records, sigs)])
-    finally:
-        _close_out(out)
     return EXIT_OK
 
 
@@ -145,19 +144,19 @@ def cmd_invert(args) -> int:
             ok_records.append((pid, invert_signature(sig, start=start).path))
         except (NormTooSmall, ValueError) as exc:
             errors[pid] = str(exc)
-    out = _out_stream(args)
-    try:
+    with _output(args) as out:
         fileio.write_paths_csv(out, ok_records, errors, dim=dim)
-    finally:
-        _close_out(out)
     return EXIT_OK
 
 
 def _parse_depths(raw: str) -> list[int]:
     try:
-        return [int(f) for f in raw.split(",") if f.strip()]
+        depths = [int(f) for f in raw.split(",") if f.strip()]
     except ValueError as exc:
         raise InputFormatError(f"bad depth list {raw!r}") from exc
+    if not depths:
+        raise InputFormatError(f"--depths names no depth: {raw!r}")
+    return depths
 
 
 def cmd_roundtrip(args) -> int:
@@ -168,13 +167,10 @@ def cmd_roundtrip(args) -> int:
     # every row is computed before the output opens, so a failure writes nothing
     rows = [[pid, depth, *map(fileio.format_float, roundtrip_errors(path, depth))]
             for pid, path in paths for depth in depths]
-    out = _out_stream(args)
-    try:
+    with _output(args) as out:
         w = csv.writer(out, lineterminator="\n")
         w.writerow(["id", "depth", "mean_error", "max_error"])
         w.writerows(rows)
-    finally:
-        _close_out(out)
     return EXIT_OK
 
 
@@ -186,11 +182,8 @@ def cmd_trend(args) -> int:
     pid, path = paths[0]
     sig = path_signature(path, args.depth)
     recon = invert_signature(sig, start=path.points[0])
-    out = _out_stream(args)
-    try:
+    with _output(args) as out:
         fileio.write_paths_csv(out, [(pid, recon.path)])
-    finally:
-        _close_out(out)
     return EXIT_OK
 
 
@@ -220,12 +213,9 @@ def cmd_develop(args) -> int:
         raise InputFormatError("develop expects a single path")
     report = norm_lower_bound_check(normalize_unit_length(paths[0][1]),
                                     args.alpha)
-    out = _out_stream(args)
-    try:
+    with _output(args) as out:
         json.dump(dataclasses.asdict(report), out, indent=2)
         out.write("\n")
-    finally:
-        _close_out(out)
     return EXIT_OK
 
 

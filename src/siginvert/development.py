@@ -36,89 +36,37 @@ _B_TOL = 1e-9
 _EXP_MAX = 700.0
 
 
-def minkowski_b(x, y) -> float:
-    """B(x, y) = sum_{i<=d} x_i y_i - x_{d+1} y_{d+1}."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    return float(x[:-1] @ y[:-1] - x[-1] * y[-1])
-
-
-def hyperbolic_distance(x, y) -> float:
-    """arcosh(-B(x, y)), with the argument clamped to >= 1 against ulps."""
-    return math.acosh(max(1.0, -minkowski_b(x, y)))
-
-
-def basepoint(dim: int) -> np.ndarray:
-    """y0 = (0, ..., 0, 1), the hyperboloid point over the origin."""
-    y0 = np.zeros(dim + 1)
-    y0[-1] = 1.0
-    return y0
-
-
-@dataclass(frozen=True)
-class DevelopmentMatrix:
-    """A (d+1) x (d+1) element of the B-isometry group."""
-
-    dim: int
-    entries: np.ndarray
-
-    def __post_init__(self):
-        e = np.asarray(self.entries, dtype=np.float64)
-        if e.shape != (self.dim + 1, self.dim + 1):
-            raise ValueError("entries must be (d+1) x (d+1)")
-        e.setflags(write=False)
-        object.__setattr__(self, "entries", e)
-
-    def __matmul__(self, other: "DevelopmentMatrix") -> "DevelopmentMatrix":
-        return DevelopmentMatrix(self.dim, self.entries @ other.entries)
-
-    def apply(self, y) -> np.ndarray:
-        return self.entries @ np.asarray(y, dtype=np.float64)
-
-    def operator_norm(self) -> float:
-        return float(np.linalg.svd(self.entries, compute_uv=False)[0])
-
-    def b_defect(self) -> float:
-        """Max |B(G e_i, G e_j) - B(e_i, e_j)| over the canonical basis."""
-        g = np.diag(np.append(np.ones(self.dim), -1.0))
-        return float(np.max(np.abs(self.entries.T @ g @ self.entries - g)))
-
-
 def f_map(y) -> np.ndarray:
     """The symmetric (d+1) x (d+1) matrix with last column (y, 0) and last
     row (y^T, 0); its operator norm equals |y|."""
     y = np.asarray(y, dtype=np.float64).ravel()
-    d = y.size
-    out = np.zeros((d + 1, d + 1))
+    out = np.zeros((y.size + 1, y.size + 1))
     out[:-1, -1] = y
     out[-1, :-1] = y
     return out
 
 
-def segment_transport(v) -> DevelopmentMatrix:
+def segment_transport(v) -> np.ndarray:
     """exp(F(v)) in closed form; the identity for v = 0."""
     v = np.asarray(v, dtype=np.float64).ravel()
-    d = v.size
     r = float(np.linalg.norm(v))
-    eye = np.eye(d + 1)
+    eye = np.eye(v.size + 1)
     if r == 0.0:
-        return DevelopmentMatrix(d, eye)
+        return eye
     f = f_map(v)
-    m = eye + (math.sinh(r) / r) * f + ((math.cosh(r) - 1.0) / r**2) * (f @ f)
-    return DevelopmentMatrix(d, m)
+    return eye + (math.sinh(r) / r) * f + ((math.cosh(r) - 1.0) / r**2) * (f @ f)
 
 
-def develop(path: PiecewiseLinearPath) -> DevelopmentMatrix:
+def develop(path: PiecewiseLinearPath) -> np.ndarray:
     """Gamma_1: ordered product of per-segment transports (last segment
     leftmost)."""
     return develop_checkpoints(path)[-1]
 
 
-def develop_checkpoints(path: PiecewiseLinearPath) -> list[DevelopmentMatrix]:
+def develop_checkpoints(path: PiecewiseLinearPath) -> list[np.ndarray]:
     """Gamma at every breakpoint, starting from the identity."""
     path = merge_degenerate(path)
-    d = path.dim
-    out = [DevelopmentMatrix(d, np.eye(d + 1))]
+    out = [np.eye(path.dim + 1)]
     for dx in np.diff(path.points, axis=0):
         out.append(segment_transport(dx) @ out[-1])
     return out
@@ -187,7 +135,7 @@ def norm_lower_bound_check(path: PiecewiseLinearPath,
         )
     gamma = develop(path.scaled(alpha))
     lhs = math.exp(alpha - (m - 1) * k)
-    rhs = gamma.operator_norm()
+    rhs = float(np.linalg.norm(gamma, 2))
     return BoundReport(
         omega=omega,
         K_omega=k,

@@ -6,9 +6,9 @@ files are treated as pure coordinate rows of a single path.
 
 Signature JSON: an object {"dim": d, "depth": n, "levels": [[...], ...]}
 with level k holding d**k reals; a batch is a JSON array of such objects.
-An optional "id" key tags records from multi-path files; ids must be
-unique within a file, a record without one taking its index, and level
-entries must be JSON numbers.  The writer's bytes are those of
+An optional "id" key, a string or an integer unique within the file, tags
+records from multi-path files; a record without one takes its index.
+Level entries must be JSON numbers.  The writer's bytes are those of
 ``json.dump(..., indent=2)``; it refuses non-finite levels.
 
 Decimal text is used throughout: CSV floats carry 17 significant digits,
@@ -129,9 +129,9 @@ def write_paths_csv(stream, records, errors=None, dim=None) -> None:
         w.writerow([pid, ""] + [""] * dim + [message])
 
 
-# JSON's names for the Python types json.load makes of its non-numbers
+# JSON's names for the Python types json.load makes, but int
 _JSON_NAMES = {bool: "a boolean", str: "a string", list: "a list",
-               dict: "an object", type(None): "a null"}
+               dict: "an object", type(None): "a null", float: "a float"}
 
 
 def record_to_signature(rec: dict) -> TruncatedSignature:
@@ -239,16 +239,18 @@ def write_signatures_json(stream, sigs_with_ids) -> None:
 def read_signatures_json(stream) -> list[tuple[str, TruncatedSignature]]:
     """Parse a signature JSON into (id, signature) pairs in file order.
 
-    A record without an "id" takes its index; two records with the same id
-    raise InputFormatError, since outputs are keyed by id.
+    A record without an "id" takes its index.  An id that is not a JSON
+    string or integer, or two records with the same id, raise
+    InputFormatError, since outputs are keyed by id.
     """
     if isinstance(stream, str):
         with open(stream, encoding="utf-8") as fh:
             return read_signatures_json(fh)
     try:
         payload = json.load(stream)
-    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
-        # RecursionError: arrays or objects nested past the parser's limit
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers JSONDecodeError, UnicodeDecodeError and int()'s
+        # digit limit; RecursionError, nesting past the parser's limit
         raise InputFormatError(f"invalid JSON: {exc}") from exc
     if isinstance(payload, dict):
         payload = [payload]
@@ -256,7 +258,11 @@ def read_signatures_json(stream) -> list[tuple[str, TruncatedSignature]]:
         raise InputFormatError("expected a signature object or array")
     out, seen = [], set()
     for i, rec in enumerate(payload):
-        pid = str(rec.get("id", i)) if isinstance(rec, dict) else str(i)
+        pid = rec.get("id", i) if isinstance(rec, dict) else i
+        if type(pid) not in (str, int):  # json.load makes true a bool
+            raise InputFormatError(f"record {i}: id must be a string or an "
+                                   f"integer, not {_JSON_NAMES[type(pid)]}")
+        pid = str(pid)
         if pid in seen:
             raise InputFormatError(
                 f"duplicate record id {pid!r} (record {i}); a record "

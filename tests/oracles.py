@@ -2,13 +2,15 @@
 the insertion operator, the Chen-chain norm estimate and a per-entry
 insertion adjoint, with the small helpers only the tests use (multi-index
 offsets, path restriction, the zero level and the trivial signature, the
-Euclidean norm, signature records as dicts and as JSON text).
+Euclidean norm, signature records as dicts and as JSON text, and the
+hyperboloid's bilinear form, distance, basepoint and isometry defect).
 
 They check the library's results by other routes and are not part of the
 package's API.
 """
 
 import io
+import math
 
 import numpy as np
 
@@ -188,3 +190,28 @@ def dumps_signatures(sigs_with_ids) -> str:
     buf = io.StringIO()
     write_signatures_json(buf, sigs_with_ids)
     return buf.getvalue()
+
+
+def minkowski_b(x, y) -> float:
+    """B(x, y) = sum_{i<=d} x_i y_i - x_{d+1} y_{d+1}."""
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    return float(x[:-1] @ y[:-1] - x[-1] * y[-1])
+
+
+def hyperbolic_distance(x, y) -> float:
+    """arcosh(-B(x, y)), with the argument clamped to >= 1 against ulps."""
+    return math.acosh(max(1.0, -minkowski_b(x, y)))
+
+
+def basepoint(dim: int) -> np.ndarray:
+    """y0 = (0, ..., 0, 1), the hyperboloid point over the origin."""
+    y0 = np.zeros(dim + 1)
+    y0[-1] = 1.0
+    return y0
+
+
+def b_defect(g: np.ndarray) -> float:
+    """Max |B(G e_i, G e_j) - B(e_i, e_j)| over the canonical basis."""
+    form = np.diag(np.append(np.ones(len(g) - 1), -1.0))
+    return float(np.max(np.abs(g.T @ form @ g - form)))

@@ -594,6 +594,8 @@ class TestBadArguments:
         ["sign", "{f}", "--depth=-1"],
         ["roundtrip", "{f}", "--depths", "0"],
         ["roundtrip", "{f}", "--depths", "4,1"],
+        ["roundtrip", "{f}", "--depths", ","],
+        ["roundtrip", "{f}", "--depths", ""],
         ["trend", "{f}", "--depth", "1"],
         ["sign", "{f}", "--depth", "3", "--max-coeffs=-5"],
         ["sign", "{f}", "--depth", "3", "--max-coeffs", "0"],
@@ -608,6 +610,13 @@ class TestBadArguments:
         f = tmp_path / "big.json"
         f.write_text('{"dim": 1, "depth": 2, "levels": [[1.0], [1.0], [1'
                      + "0" * 400 + ']]}')
+        assert main(["invert", str(f)]) == 2
+        assert_one_error_line(capsys)
+
+    def test_integer_past_the_digit_limit(self, tmp_path, capsys):
+        # int() refuses more than 4,300 digits with a plain ValueError
+        f = tmp_path / "long.json"
+        f.write_text("[[1" + "0" * 4999 + "]]")
         assert main(["invert", str(f)]) == 2
         assert_one_error_line(capsys)
 
@@ -642,6 +651,29 @@ class TestBadArguments:
         assert out == ""
         assert len(err.splitlines()) == 1
         assert err.startswith("error: duplicate record id '")
+
+    @pytest.mark.parametrize("pid, name", [
+        ("null", "a null"), ("true", "a boolean"), ("[1, 2]", "a list"),
+        ('{"a": 1}', "an object"), ("1.5", "a float")],
+        ids=["null", "boolean", "list", "object", "float"])
+    def test_record_id_not_string_or_integer(self, tmp_path, capsys, pid, name):
+        # str() of these would write Python reprs such as None or {'a': 1}
+        f = tmp_path / "ids.json"
+        rec = '{"dim": 1, "depth": 2, "levels": [[1.0], [0.5], [0.125]]'
+        f.write_text(f'[{rec}, "id": "p"}}, {rec}, "id": {pid}}}]')
+        assert main(["invert", str(f)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (f"error: record 1: id must be a string or an integer, "
+                       f"not {name}\n")
+
+    def test_integer_record_ids_are_kept(self, tmp_path, capsys):
+        rec = '{"dim": 1, "depth": 2, "levels": [[1.0], [0.5], [0.125]]'
+        f = tmp_path / "ids.json"
+        f.write_text(f'[{rec}, "id": 7}}, {rec}, "id": -3}}]')
+        assert main(["invert", str(f)]) == 0
+        rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        assert [r["id"] for r in rows] == ["7"] * 3 + ["-3"] * 3
 
     @pytest.mark.parametrize("entry, name", [
         ("true", "boolean"), ('"2.5"', "string"), ("[2.0]", "list")],

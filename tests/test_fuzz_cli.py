@@ -11,6 +11,7 @@ import csv
 import io
 import json
 import math
+import sys
 import tempfile
 from pathlib import Path
 
@@ -32,9 +33,12 @@ number = st.one_of(
 junk_text = st.text(max_size=40)
 junk_field = st.one_of(
     st.sampled_from(["", "t", "id", "x1", "error", "nan", "inf", "1e400",
-                     "1" + "0" * 400]),
+                     "1" + "0" * 400, "1" + "0" * 5000]),
     st.text(max_size=4),
 )
+# 4,291 to 5,001 digits: both sides of int()'s default limit of 4,300
+# digits, which json.load applies to integer literals.
+huge_int = st.integers(min_value=4290, max_value=5000).map(lambda k: 10**k)
 
 
 @st.composite
@@ -63,7 +67,7 @@ def path_csv(draw):
 
 json_junk = st.recursive(
     st.one_of(st.none(), st.booleans(), number, st.text(max_size=3),
-              st.just(10**400)),
+              st.just(10**400), huge_int),
     lambda inner: st.one_of(st.lists(inner, max_size=4),
                             st.dictionaries(st.text(max_size=3), inner,
                                             max_size=3)),
@@ -82,7 +86,8 @@ def signature_record(draw, only_non_number=False):
     """A signature record of the right shape; now and then one key holds
     junk or a big integer, or one level entry is a boolean, a numeric string
     or a list.  Ids come often from a small pool, so that a batch repeats an
-    id or collides with the index id of a record without one.
+    id or collides with the index id of a record without one, and now and
+    then are JSON values other than strings and integers.
 
     With ``only_non_number`` the record is well formed but for one such
     entry."""
@@ -92,8 +97,9 @@ def signature_record(draw, only_non_number=False):
            "levels": [draw(st.lists(number, min_size=d**k, max_size=d**k))
                       for k in range(n + 1)]}
     if draw(st.booleans()):
-        rec["id"] = draw(st.one_of(st.sampled_from(["a", "0", "1"]),
-                                   st.text(max_size=3)))
+        ids = st.one_of(st.sampled_from(["a", "0", "1"]), st.text(max_size=3),
+                        st.integers(min_value=0, max_value=2))
+        rec["id"] = draw(ids if only_non_number else st.one_of(ids, json_junk))
     if only_non_number or draw(st.integers(min_value=0, max_value=4)) == 0:
         level = draw(st.sampled_from(rec["levels"]))
         level[draw(st.integers(min_value=0, max_value=len(level) - 1))] = \
@@ -102,22 +108,33 @@ def signature_record(draw, only_non_number=False):
         return rec
     if draw(st.integers(min_value=0, max_value=3)) == 0:
         key = draw(st.sampled_from(["dim", "depth", "levels"]))
-        rec[key] = draw(st.one_of(json_junk, st.integers(min_value=-2,
-                                                         max_value=10**400)))
+        rec[key] = draw(st.one_of(json_junk, huge_int,
+                                  st.integers(min_value=-2, max_value=10**400)))
     if n and draw(st.integers(min_value=0, max_value=4)) == 0:
         level = rec["levels"]
         if isinstance(level, list) and level and isinstance(level[-1], list) \
                 and level[-1]:
-            level[-1][0] = 10**400
+            level[-1][0] = draw(st.one_of(st.just(10**400), huge_int))
     return rec
+
+
+def dumps(payload) -> str:
+    """``json.dumps`` with int()'s digit limit lifted, so that integers past
+    it reach the reader as JSON text."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return json.dumps(payload)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 csv_bytes = st.one_of(path_csv(), path_csv(), path_csv(), junk_text).map(
     str.encode) | st.binary(max_size=40)
 json_bytes = st.one_of(
-    signature_record().map(json.dumps),
-    st.lists(signature_record(), max_size=3).map(json.dumps),
-    json_junk.map(json.dumps),
+    signature_record().map(dumps),
+    st.lists(signature_record(), max_size=3).map(dumps),
+    json_junk.map(dumps),
     junk_text,
 ).map(str.encode) | st.binary(max_size=40)
 
