@@ -30,7 +30,6 @@ from .insertion import (
     InversionResult,
     adjoint_contract,
     batch_invert,
-    insertion_apply,
     invert_signature,
     solve_slope,
 )
@@ -38,21 +37,16 @@ from .signature import (
     PiecewiseLinearPath,
     SegmentGeometry,
     batch_signature,
-    chen_concat,
     constant_speed_reparam,
-    linear_signature,
     merge_degenerate,
     path_signature,
     segment_geometry,
 )
 from .tensor_algebra import (
-    TensorLevel,
     TruncatedSignature,
     get_allocation_cap,
     graded_scale,
-    permute,
     set_allocation_cap,
-    tensor_product,
 )
 
 __version__ = "0.1.0"

@@ -139,7 +139,7 @@ def compare_recovery(path: PiecewiseLinearPath,
         sig = path_signature(path, n + 1)
         for i in range(1, m + 1):
             p = probe_slot(t[i - 1], t[i], n)
-            y = solve_slope(sig.levels[n], sig.levels[n + 1], p)
+            y = solve_slope(sig.level(n), sig.level(n + 1), n, p)
             measured = float(np.linalg.norm(y - geom.slopes[i - 1]))
             inp = RecoveryBoundInput(
                 segments=m, breakpoints=t, target=i,

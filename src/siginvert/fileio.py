@@ -23,6 +23,7 @@ import csv
 import json
 import math
 import numbers
+import sys
 
 import numpy as np
 
@@ -156,10 +157,10 @@ def record_to_signature(rec: dict) -> TruncatedSignature:
             raise InputFormatError(
                 f"level {k} holds {' and '.join(names)}, not only numbers")
     try:
-        sig = TruncatedSignature.from_arrays(dim, levels)
+        sig = TruncatedSignature(dim, levels)
     except (ValueError, TypeError, OverflowError) as exc:
         raise InputFormatError(str(exc)) from exc
-    if not all(np.isfinite(lvl.coeffs).all() for lvl in sig.levels):
+    if not all(np.isfinite(lvl).all() for lvl in sig.levels):
         raise InputFormatError("signature record has a non-finite level entry")
     return sig
 
@@ -197,7 +198,7 @@ def write_signatures_json(stream, sigs_with_ids) -> None:
     """
     items = list(sigs_with_ids)
     for _, sig in items:
-        if not all(np.isfinite(lvl.coeffs).all() for lvl in sig.levels):
+        if not all(np.isfinite(lvl).all() for lvl in sig.levels):
             raise ValueError("cannot write a non-finite signature level entry")
     if not items:
         stream.write("[]\n")
@@ -213,8 +214,7 @@ def write_signatures_json(stream, sigs_with_ids) -> None:
             text += ",\n  " if i else "\n  "
         text += (f'{{\n{key}"dim": {sig.dim},\n{key}"depth": {sig.depth},'
                  f'\n{key}"levels": [')
-        for k in range(sig.depth + 1):
-            level = sig.level(k)
+        for k, level in enumerate(sig.levels):
             text += f"{',' if k else ''}\n{row}[\n{num}"
             lo = 0
             while lo < level.size:
@@ -236,6 +236,17 @@ def write_signatures_json(stream, sigs_with_ids) -> None:
     stream.write(text + ("\n]\n" if pad else "\n"))
 
 
+def _parse_int(text: str) -> int:
+    """A JSON integer literal as an int, refused past Python's digit limit."""
+    digits = len(text) - text.startswith("-")
+    limit = sys.get_int_max_str_digits()
+    if limit and digits > limit:
+        raise InputFormatError(
+            f"invalid JSON: an integer literal of {digits} digits is longer "
+            f"than the limit of {limit} digits")
+    return int(text)
+
+
 def read_signatures_json(stream) -> list[tuple[str, TruncatedSignature]]:
     """Parse a signature JSON into (id, signature) pairs in file order.
 
@@ -247,10 +258,10 @@ def read_signatures_json(stream) -> list[tuple[str, TruncatedSignature]]:
         with open(stream, encoding="utf-8") as fh:
             return read_signatures_json(fh)
     try:
-        payload = json.load(stream)
+        payload = json.load(stream, parse_int=_parse_int)
     except (ValueError, RecursionError) as exc:
-        # ValueError covers JSONDecodeError, UnicodeDecodeError and int()'s
-        # digit limit; RecursionError, nesting past the parser's limit
+        # ValueError covers JSONDecodeError and UnicodeDecodeError;
+        # RecursionError, nesting past the parser's limit
         raise InputFormatError(f"invalid JSON: {exc}") from exc
     if isinstance(payload, dict):
         payload = [payload]

@@ -1,9 +1,10 @@
-"""The insertion map, its adjoint, and signature inversion.
+"""The adjoint of the insertion map, the slope solve, and signature inversion.
 
-The map inserting a vector y into slot p of a degree-n signature tensor is
-an isometry up to the factor norm(X^n); its normal equations are diagonal,
+Levels are flat arrays; a degree-n level over R^d has d**n entries.  The
+map inserting a vector y into slot p of a degree-n signature tensor is an
+isometry up to the factor norm(X^n); its normal equations are diagonal,
 so the least-squares slope has the closed form
-``y* = (n+1) * adjoint(X^n, X^{n+1}, p) / norm(X^n)**2``.
+``y* = (n+1) * adjoint(X^n, X^{n+1}, n, p) / norm(X^n)**2``.
 The full inversion sweeps p = 1..n over the top two levels of the supplied
 signature and integrates the slopes on the uniform grid p/n.
 
@@ -23,7 +24,7 @@ import numpy as np
 
 from .errors import NormTooSmall
 from .signature import PiecewiseLinearPath
-from .tensor_algebra import TensorLevel, TruncatedSignature, check_allocation
+from .tensor_algebra import TruncatedSignature
 
 # Degeneracy threshold for the norm of the level being divided by.
 # Genuine signatures decay like ell^n / n! (about 8e-18 for a unit-length
@@ -63,51 +64,46 @@ def _adjoint_slot(sig: np.ndarray, z: np.ndarray, d: int, p: int) -> np.ndarray:
     return np.einsum("ajb,ab->j", z.reshape(pre, d, post), sig.reshape(pre, post))
 
 
-def insertion_apply(sig_n: TensorLevel, y, p: int) -> TensorLevel:
-    """Insert y at slot p: result[(i_1..i_{n+1})] = y_{i_p} * sig[(.. no i_p ..)]."""
-    y = np.asarray(y, dtype=np.float64).ravel()
-    d, n = sig_n.dim, sig_n.degree
-    if y.size != d:
-        raise ValueError(f"y must live in R^{d}")
+def _check_pair(below: np.ndarray, top: np.ndarray, n: int, p: int) -> int:
+    """d of levels of degrees n and n + 1 over R^d, with the slot checked."""
+    d = top.size // below.size if below.size else 0
+    if d < 1 or below.size != d**n or top.size != d * below.size:
+        raise ValueError(f"need levels of degrees {n} and {n + 1} over one "
+                         f"R^d, got {below.size} and {top.size} coefficients")
     _check_slot(n, p)
-    check_allocation(d, n + 1)
-    out = sig_n.coeffs.reshape(d ** (p - 1), 1, -1) * y.reshape(1, d, 1)
-    return TensorLevel(d, n + 1, out.ravel())
+    return d
 
 
-def _check_pair(sig_n: TensorLevel, z: TensorLevel, p: int) -> None:
-    if z.dim != sig_n.dim or z.degree != sig_n.degree + 1:
-        raise ValueError("z must have the same dim and degree n + 1")
-    _check_slot(sig_n.degree, p)
+def adjoint_contract(below: np.ndarray, top: np.ndarray, n: int,
+                     p: int) -> np.ndarray:
+    """Apply the transpose of the slot-p insertion into the degree-n level
+    ``below`` to the degree-(n+1) level ``top``.
 
-
-def adjoint_contract(sig_n: TensorLevel, z: TensorLevel, p: int) -> np.ndarray:
-    """Apply the transpose of the slot-p insertion map to z.
-
-    Component j sums sig[(.. no i_p ..)] * z[(i_1..i_{n+1})] over all
+    Component j sums below[(.. no i_p ..)] * top[(i_1..i_{n+1})] over all
     indices with i_p = j.  Cost O(d^{n+1}), memory O(d); the sparse matrix
     of the insertion map is never materialized.
     """
-    _check_pair(sig_n, z, p)
-    return _adjoint_slot(sig_n.coeffs, z.coeffs, sig_n.dim, p)
+    d = _check_pair(below, top, n, p)
+    return _adjoint_slot(below, top, d, p)
 
 
-def _solve(below: TensorLevel, top: TensorLevel, slots, start: np.ndarray):
+def _solve(below: np.ndarray, top: np.ndarray, n: int, slots,
+           start: np.ndarray):
     """The one slope solve and its guard.
 
-    Row i holds y* = k * A_p^T X^k / norm(X^{k-1})**2 for p = slots[i],
-    where ``below`` is X^{k-1} and ``top`` is X^k; the points start at
-    ``start`` and step by y*/k.  A divisor at or below EPS_NORM**2, NaN or
-    infinite, or any slope or point that is not finite, is refused; the
-    points are checked too because finite slopes can still step past
-    float64 from a large start.
+    Row i holds y* = (n+1) * A_p^T X^{n+1} / norm(X^n)**2 for p = slots[i],
+    where ``below`` is the degree-n level X^n and ``top`` is X^{n+1}; the
+    points start at ``start`` and step by y*/(n+1).  A divisor at or below
+    EPS_NORM**2, NaN or infinite, or any slope or point that is not finite,
+    is refused; the points are checked too because finite slopes can still
+    step past float64 from a large start.
     """
-    d, factor = below.dim, below.degree + 1
+    d, factor = top.size // below.size, n + 1
     with np.errstate(all="ignore"):
-        nrm2 = float(below.coeffs @ below.coeffs)
+        nrm2 = float(below @ below)
         slopes = np.empty((len(slots), d))
         for i, p in enumerate(slots):
-            slopes[i] = factor * _adjoint_slot(below.coeffs, top.coeffs, d, p) / nrm2
+            slopes[i] = factor * _adjoint_slot(below, top, d, p) / nrm2
         points = np.empty((len(slots) + 1, d))
         points[0] = start
         np.cumsum(slopes / factor, axis=0, out=points[1:])
@@ -115,18 +111,18 @@ def _solve(below: TensorLevel, top: TensorLevel, slots, start: np.ndarray):
     # a non-finite slope makes every later point non-finite
     if not (EPS_NORM**2 < nrm2 < math.inf and np.isfinite(points).all()):
         raise NormTooSmall(
-            f"the degree-{below.degree} level has squared norm {nrm2:.3g}, "
+            f"the degree-{n} level has squared norm {nrm2:.3g}, "
             f"outside ({EPS_NORM}**2, inf), or a slope or point is not "
             "finite; degenerate, tree-like or overflowing input"
         )
     return slopes, points
 
 
-def solve_slope(sig_n: TensorLevel, sig_np1: TensorLevel, p: int) -> np.ndarray:
+def solve_slope(below: np.ndarray, top: np.ndarray, n: int, p: int) -> np.ndarray:
     """Exact minimizer of ||insert_p(y) - (n+1) X^{n+1}|| in the Euclidean
-    tensor norm."""
-    _check_pair(sig_n, sig_np1, p)
-    return _solve(sig_n, sig_np1, [p], np.zeros(sig_n.dim))[0][0]
+    tensor norm, for the degree-n level ``below`` = X^n and ``top``."""
+    d = _check_pair(below, top, n, p)
+    return _solve(below, top, n, [p], np.zeros(d))[0][0]
 
 
 @dataclass(frozen=True)
@@ -143,7 +139,8 @@ def invert_signature(sig: TruncatedSignature, start=None) -> InversionResult:
 
     For p = 1..n the slope is y* = n * A_p^T X^n / norm(X^{n-1})**2 and the
     points accumulate as X_{p/n} = X_{(p-1)/n} + y*/n.  The starting point
-    is unrecoverable from the signature and defaults to the origin.
+    is unrecoverable from the signature and defaults to the origin; a
+    start that is not finite raises ValueError.
     """
     n, d = sig.depth, sig.dim
     if n < 2:
@@ -151,7 +148,9 @@ def invert_signature(sig: TruncatedSignature, start=None) -> InversionResult:
     start = np.zeros(d) if start is None else np.asarray(start, dtype=np.float64)
     if start.shape != (d,):
         raise ValueError(f"start point must live in R^{d}")
-    slopes, points = _solve(sig.levels[n - 1], sig.levels[n],
+    if not np.isfinite(start).all():
+        raise ValueError(f"start point {start.tolist()} is not finite")
+    slopes, points = _solve(sig.level(n - 1), sig.level(n), n - 1,
                             range(1, n + 1), start)
     return InversionResult(PiecewiseLinearPath(points), slopes, start.copy())
 

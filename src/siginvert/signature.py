@@ -6,9 +6,8 @@ of a batch of paths in place by exp(v) of each segment, right to left, with
 Horner's scheme: one scratch array per degree and O(M d^depth (d/(d-1))^2)
 work for M segments.  The batch axis is the last axis of every level and
 scratch array, so each numpy call runs over all the paths of a chunk;
-``path_signature`` is the batch of one path.  ``linear_signature`` (the
-per-segment closed form) and ``chen_concat`` (Chen's identity) join two
-signatures and serve as the tests' oracle for the Horner step.
+``path_signature`` is the batch of one path.  Each signature is a
+``TruncatedSignature`` whose levels are flat arrays.
 """
 
 from __future__ import annotations
@@ -19,12 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AllocationCapError, AssumptionViolation
-from .tensor_algebra import (
-    TensorLevel,
-    TruncatedSignature,
-    check_allocation,
-    get_allocation_cap,
-)
+from .tensor_algebra import TruncatedSignature, check_allocation, get_allocation_cap
 
 # Angles within this tolerance of 0 or pi raise the assumption flags.
 ANGLE_TOL = 1e-9
@@ -163,40 +157,6 @@ def require_clean_angles(geom: SegmentGeometry) -> None:
         )
 
 
-def linear_signature(beta, dt: float, depth: int) -> TruncatedSignature:
-    """Signature of the linear segment t -> beta * t over an interval of
-    length dt: level k equals beta^{(x)k} dt^k / k!."""
-    beta = np.asarray(beta, dtype=np.float64).ravel()
-    d = beta.size
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    check_allocation(d, depth)
-    levels = [TensorLevel.scalar(d, 1.0)]
-    cur = np.array([1.0])
-    for k in range(1, depth + 1):
-        nxt = np.zeros((cur.size, d))
-        nxt += cur[:, None] * (beta * (dt / k))[None, :]
-        cur = nxt.ravel()
-        levels.append(TensorLevel(d, k, cur))
-    return TruncatedSignature(d, depth, tuple(levels))
-
-
-def chen_concat(a: TruncatedSignature, b: TruncatedSignature) -> TruncatedSignature:
-    """Chen's identity: level n of the concatenation is
-    sum_k a_k (x) b_{n-k}."""
-    if a.dim != b.dim or a.depth != b.depth:
-        raise ValueError("signatures must share dim and depth")
-    d = a.dim
-    levels = [TensorLevel.scalar(d, float(a.level(0)[0] * b.level(0)[0]))]
-    for n in range(1, a.depth + 1):
-        out = np.zeros(d**n)
-        for k in range(n + 1):
-            lo, hi = a.level(k), b.level(n - k)
-            out.reshape(lo.size, hi.size)[...] += lo[:, None] * hi[None, :]
-        levels.append(TensorLevel(d, n, out))
-    return TruncatedSignature(d, a.depth, tuple(levels))
-
-
 def _scratch_size(d: int, depth: int) -> int:
     """Coefficients of one path's Horner scratch, sum_m (depth - m + 1) d^m
     over m = 1..depth."""
@@ -319,11 +279,7 @@ def batch_signature(paths, depth: int) -> list[TruncatedSignature]:
             f"level {first_overflow[failed[0]]} of the depth-{depth} "
             "signature overflows float64"
         )
-    return [
-        TruncatedSignature(d, depth, tuple(TensorLevel(d, k, lvl)
-                                           for k, lvl in enumerate(lvls)))
-        for lvls in found
-    ]
+    return [TruncatedSignature(d, lvls) for lvls in found]
 
 
 def path_signature(path: PiecewiseLinearPath, depth: int) -> TruncatedSignature:

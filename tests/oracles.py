@@ -1,12 +1,16 @@
 """Independent test oracles: a Riemann-sum signature, the Chen split of
-the insertion operator, the Chen-chain norm estimate and a per-entry
-insertion adjoint, with the small helpers only the tests use (multi-index
-offsets, path restriction, the zero level and the trivial signature, the
-Euclidean norm, signature records as dicts and as JSON text, and the
-hyperboloid's bilinear form, distance, basepoint and isometry defect).
+the insertion operator, the Chen-chain norm estimate, a per-entry
+insertion adjoint, and the tensor operations the package does not need
+(tensor product, slot permutation, the insertion map, the closed-form
+signature of a linear segment and Chen's identity); with the small helpers
+only the tests use (multi-index offsets, path restriction, the trivial
+signature, the Euclidean norm, signature records as dicts and as JSON
+text, and the hyperboloid's bilinear form, distance, basepoint and
+isometry defect).
 
-They check the library's results by other routes and are not part of the
-package's API.
+Levels are flat row-major float64 arrays, as in ``TruncatedSignature``.
+These functions check the library's results by other routes and are not
+part of the package's API.
 """
 
 import io
@@ -14,13 +18,7 @@ import math
 
 import numpy as np
 
-from siginvert import (
-    PiecewiseLinearPath,
-    TensorLevel,
-    TruncatedSignature,
-    insertion_apply,
-    path_signature,
-)
+from siginvert import PiecewiseLinearPath, TruncatedSignature, path_signature
 from siginvert.fileio import write_signatures_json
 from siginvert.insertion import _check_slot
 
@@ -46,26 +44,78 @@ def offset_to_multi_index(offset: int, dim: int, degree: int) -> tuple[int, ...]
     return tuple(reversed(out))
 
 
-def entry(level: TensorLevel, index: tuple[int, ...]) -> float:
-    """The coefficient of ``level`` at a 1-based multi-index."""
-    if len(index) != level.degree:
+def entry(level: np.ndarray, dim: int, index: tuple[int, ...]) -> float:
+    """The coefficient of a level over R^dim at a 1-based multi-index."""
+    if level.size != dim ** len(index):
         raise ValueError("multi-index length must equal the degree")
-    return float(level.coeffs[multi_index_to_offset(index, level.dim)])
+    return float(level[multi_index_to_offset(index, dim)])
 
 
-def euclidean_norm(a: TensorLevel) -> float:
-    return float(np.linalg.norm(a.coeffs))
-
-
-def zero_level(dim: int, degree: int) -> TensorLevel:
-    return TensorLevel(dim, degree, np.zeros(dim**degree))
+def euclidean_norm(a: np.ndarray) -> float:
+    return float(np.linalg.norm(a))
 
 
 def trivial_signature(dim: int, depth: int) -> TruncatedSignature:
     """The signature of a constant path: (1, 0, ..., 0)."""
-    levels = [TensorLevel.scalar(dim, 1.0)]
-    levels += [zero_level(dim, k) for k in range(1, depth + 1)]
-    return TruncatedSignature(dim, depth, tuple(levels))
+    return TruncatedSignature(dim, [[1.0]] + [np.zeros(dim**k)
+                                              for k in range(1, depth + 1)])
+
+
+def tensor_product(a: np.ndarray, b: np.ndarray, dim: int) -> np.ndarray:
+    """Outer product of two levels over R^dim in flat layout:
+    result[(I, J)] = a[I] * b[J]."""
+    for x in (a, b):
+        if x.size != dim ** (round(math.log(x.size, dim)) if dim > 1 else 0):
+            raise ValueError(f"{x.size} entries are not a level over R^{dim}")
+    return np.multiply.outer(a, b).ravel()
+
+
+def permute(a: np.ndarray, dim: int, sigma: tuple[int, ...]) -> np.ndarray:
+    """Permute the slots of the degree-k level ``a`` over R^dim: sends
+    a_I e_{i_1} x ... x e_{i_k} to a_I e_{i_sigma(1)} x ... x e_{i_sigma(k)}.
+
+    ``sigma`` is 1-based, a bijection of {1, ..., k}.  The Euclidean norm
+    is invariant under this operation.
+    """
+    k = len(sigma)
+    if sorted(sigma) != list(range(1, k + 1)):
+        raise ValueError(f"sigma must be a permutation of 1..{k}, got {sigma}")
+    # Coefficient of the result at J is a at I with i_{sigma(m)} = j_m,
+    # i.e. i_m = j_{sigma^{-1}(m)}.  numpy's transpose(axes) reads
+    # out[J] = a[J composed with axes^{-1}], so axes is sigma itself.
+    return a.reshape((dim,) * k).transpose([s - 1 for s in sigma]).ravel()
+
+
+def insertion_apply(sig_n: np.ndarray, y, n: int, p: int) -> np.ndarray:
+    """Insert y at slot p of the degree-n level ``sig_n``:
+    result[(i_1..i_{n+1})] = y_{i_p} * sig[(.. no i_p ..)]."""
+    y = np.asarray(y, dtype=np.float64).ravel()
+    _check_slot(n, p)
+    if sig_n.size != y.size**n:
+        raise ValueError(f"y must live in R^d for a degree-{n} level over R^d")
+    return (sig_n.reshape(y.size ** (p - 1), 1, -1) * y.reshape(1, -1, 1)).ravel()
+
+
+def linear_signature(beta, dt: float, depth: int) -> TruncatedSignature:
+    """Signature of the linear segment t -> beta * t over an interval of
+    length dt: level k equals beta^{(x)k} dt^k / k!."""
+    beta = np.asarray(beta, dtype=np.float64).ravel()
+    if dt <= 0:
+        raise ValueError("dt must be positive")
+    levels = [np.ones(1)]
+    for k in range(1, depth + 1):
+        levels.append(np.multiply.outer(levels[-1], beta * (dt / k)).ravel())
+    return TruncatedSignature(beta.size, levels)
+
+
+def chen_concat(a: TruncatedSignature, b: TruncatedSignature) -> TruncatedSignature:
+    """Chen's identity: level n of the concatenation is
+    sum_k a_k (x) b_{n-k}."""
+    if a.dim != b.dim or a.depth != b.depth:
+        raise ValueError("signatures must share dim and depth")
+    return TruncatedSignature(a.dim, [
+        sum(tensor_product(a.level(k), b.level(n - k), a.dim) for k in range(n + 1))
+        for n in range(a.depth + 1)])
 
 
 def restrict(path: PiecewiseLinearPath, u: float, v: float) -> PiecewiseLinearPath:
@@ -83,18 +133,21 @@ def restrict(path: PiecewiseLinearPath, u: float, v: float) -> PiecewiseLinearPa
     return PiecewiseLinearPath(new_p, new_t)
 
 
-def adjoint_oracle(sig: TensorLevel, z: TensorLevel, p: int) -> np.ndarray:
+def adjoint_oracle(below: np.ndarray, top: np.ndarray, n: int,
+                   p: int) -> np.ndarray:
     """The slot-p insertion adjoint entry by entry, from its definition.
 
-    Component j sums sig[(.. no i_p ..)] * z[(i_1..i_{n+1})] over every
-    multi-index of z with i_p = j, one index at a time.
+    Component j sums below[(.. no i_p ..)] * top[(i_1..i_{n+1})] over every
+    multi-index of the degree-(n+1) level ``top`` with i_p = j, one index
+    at a time.
     """
-    _check_slot(sig.degree, p)
-    out = np.zeros(sig.dim)
-    for off in range(z.coeffs.size):
-        idx = offset_to_multi_index(off, z.dim, z.degree)
+    _check_slot(n, p)
+    d = top.size // below.size
+    out = np.zeros(d)
+    for off in range(top.size):
+        idx = offset_to_multi_index(off, d, n + 1)
         rest = idx[:p - 1] + idx[p:]
-        out[idx[p - 1] - 1] += entry(sig, rest) * z.coeffs[off]
+        out[idx[p - 1] - 1] += entry(below, d, rest) * top[off]
     return out
 
 
@@ -122,18 +175,18 @@ def riemann_oracle(path: PiecewiseLinearPath, depth: int,
         [np.interp(grid, path.times, path.points[:, j]) for j in range(d)]
     )
     dX = np.diff(samples, axis=0)  # (steps, d)
-    levels = [TensorLevel.scalar(d, 1.0)]
+    levels = [np.ones(1)]
     # prefix[m] = level-k signature over the first m increments (strict order)
     prefix = np.ones((steps + 1, 1))
     for k in range(1, depth + 1):
         terms = np.einsum("mi,mj->mij", prefix[:-1], dX).reshape(steps, -1)
         prefix = np.vstack([np.zeros((1, d**k)), np.cumsum(terms, axis=0)])
-        levels.append(TensorLevel(d, k, prefix[-1].copy()))
-    return TruncatedSignature(d, depth, tuple(levels))
+        levels.append(prefix[-1].copy())
+    return TruncatedSignature(d, levels)
 
 
 def insertion_chen_split(path: PiecewiseLinearPath, n: int, p: int, y,
-                         v: float) -> TensorLevel:
+                         v: float) -> np.ndarray:
     """Right-hand side of the split identity for the insertion operator.
 
     Splits [0, 1] at v and evaluates
@@ -151,13 +204,12 @@ def insertion_chen_split(path: PiecewiseLinearPath, n: int, p: int, y,
     out = np.zeros(d ** (n + 1))
     for k in range(n + 1):
         if k < p:
-            ins = insertion_apply(right.levels[n - k], y, p - k)
-            term = np.multiply.outer(left.level(k), ins.coeffs)
+            ins = insertion_apply(right.level(n - k), y, n - k, p - k)
+            out += tensor_product(left.level(k), ins, d)
         else:
-            ins = insertion_apply(left.levels[k], y, p)
-            term = np.multiply.outer(ins.coeffs, right.level(n - k))
-        out += term.ravel()
-    return TensorLevel(d, n + 1, out)
+            ins = insertion_apply(left.level(k), y, k, p)
+            out += tensor_product(ins, right.level(n - k), d)
+    return out
 
 
 def chen_lower_bound_chain(sig: TruncatedSignature, alpha: float) -> float:

@@ -18,18 +18,13 @@ from siginvert import (
     constant_speed_reparam,
     develop,
     develop_checkpoints,
-    insertion_apply,
     invert_signature,
     k_of_omega,
-    linear_signature,
     norm_lower_bound_check,
     path_signature,
-    permute,
     probe_slot,
     residual_envelope_bound,
     segment_geometry,
-    solve_slope,
-    tensor_product,
 )
 from siginvert.cli import roundtrip_errors
 
@@ -39,9 +34,13 @@ from oracles import (
     basepoint,
     euclidean_norm,
     hyperbolic_distance,
+    insertion_apply,
     insertion_chen_split,
+    linear_signature,
     minkowski_b,
+    permute,
     riemann_oracle,
+    tensor_product,
 )
 
 
@@ -67,13 +66,13 @@ def test_01_adjoint_identity(rng, capsys):
     with criterion(capsys, 1, "adjoint identity", 5.0):
         for d in (1, 2, 3):
             for n in (2, 3, 4, 5):
-                sig = path_signature(random_path(rng, 3, d), n).levels[n]
+                sig = path_signature(random_path(rng, 3, d), n).level(n)
                 nrm2 = euclidean_norm(sig) ** 2
                 for p in range(1, n + 2):
                     for j in range(d):
                         e = np.zeros(d)
                         e[j] = 1.0
-                        got = adjoint_contract(sig, insertion_apply(sig, e, p), p)
+                        got = adjoint_contract(sig, insertion_apply(sig, e, n, p), n, p)
                         np.testing.assert_allclose(
                             got, nrm2 * e, rtol=1e-12, atol=1e-12 * nrm2
                         )
@@ -127,8 +126,8 @@ def test_05_residual_envelope(capsys):
                     for i in (1, 2):
                         p = probe_slot(path.times[i - 1], path.times[i], n)
                         resid = insertion_apply(
-                            sig.levels[n], geom.slopes[i - 1], p
-                        ).coeffs - (n + 1) * sig.levels[n + 1].coeffs
+                            sig.level(n), geom.slopes[i - 1], n, p
+                        ) - (n + 1) * sig.level(n + 1)
                         width = path.times[i] - path.times[i - 1]
                         bound = residual_envelope_bound(
                             geom.total_variation, width, n
@@ -230,23 +229,23 @@ def test_09_invariance_suite(rng, capsys):
                 assert np.max(np.abs(sig.level(k) - shifted.level(k))) <= 1e-12 * ref
                 assert np.max(np.abs(sig.level(k) - reparam.level(k))) <= 1e-12 * ref
 
-            a, b = sig.levels[2], sig.levels[3]
-            prod = tensor_product(a, b)
+            a, b = sig.level(2), sig.level(3)
+            prod = tensor_product(a, b, 2)
             assert abs(euclidean_norm(prod)
                        - euclidean_norm(a) * euclidean_norm(b)) \
                 <= 1e-12 * max(1.0, euclidean_norm(prod))
 
             y = rng.standard_normal(2)
-            ins = insertion_apply(b, y, 2)
+            ins = insertion_apply(b, y, 3, 2)
             assert abs(euclidean_norm(ins)
                        - euclidean_norm(b) * float(np.linalg.norm(y))) \
                 <= 1e-12 * max(1.0, euclidean_norm(ins))
 
-            perm = permute(b, (3, 1, 2))
+            perm = permute(b, 2, (3, 1, 2))
             assert abs(euclidean_norm(perm) - euclidean_norm(b)) <= 1e-12
 
             v = float(rng.uniform(0.2, 0.8))
             split = insertion_chen_split(path, 3, 2, y, v)
-            assert np.max(np.abs(split.coeffs - ins.coeffs)) <= 1e-12 * max(
+            assert np.max(np.abs(split - ins)) <= 1e-12 * max(
                 1.0, euclidean_norm(ins)
             )

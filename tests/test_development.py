@@ -12,7 +12,6 @@ from siginvert import (
     develop_checkpoints,
     f_map,
     k_of_omega,
-    linear_signature,
     norm_lower_bound_check,
     path_signature,
     segment_geometry,
@@ -25,6 +24,7 @@ from oracles import (
     basepoint,
     chen_lower_bound_chain,
     hyperbolic_distance,
+    linear_signature,
     minkowski_b,
     trivial_signature,
 )

@@ -14,7 +14,6 @@ from siginvert import (
     PiecewiseLinearPath,
     TruncatedSignature,
     invert_signature,
-    linear_signature,
     path_signature,
 )
 from siginvert import fileio
@@ -28,7 +27,7 @@ from siginvert.fileio import (
 )
 
 from conftest import random_path
-from oracles import dumps_signatures, signature_to_record
+from oracles import dumps_signatures, linear_signature, signature_to_record
 
 
 def write_path_csv_file(tmp_path, name, points, times=None, pid=None):
@@ -73,7 +72,7 @@ def edge_signature(rng, dim, depth):
     fit = min(flat.size, EDGE_FLOATS.size)
     flat[:fit] = EDGE_FLOATS[:fit]
     rng.shuffle(flat)
-    return TruncatedSignature.from_arrays(dim, np.split(flat, np.cumsum(sizes)[:-1]))
+    return TruncatedSignature(dim, np.split(flat, np.cumsum(sizes)[:-1]))
 
 
 def json_dump_oracle(sigs_with_ids):
@@ -145,7 +144,7 @@ class TestSignatureJson:
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
     def test_writer_refuses_non_finite_level(self, rng, bad):
         good = edge_signature(rng, 2, 2)
-        sig = TruncatedSignature.from_arrays(2, [[1.0], [0.5, bad], [0.0] * 4])
+        sig = TruncatedSignature(2, [[1.0], [0.5, bad], [0.0] * 4])
         buf = io.StringIO()
         with pytest.raises(ValueError, match="non-finite"):
             fileio.write_signatures_json(buf, [("a", good), ("b", sig)])
@@ -614,9 +613,22 @@ class TestBadArguments:
         assert_one_error_line(capsys)
 
     def test_integer_past_the_digit_limit(self, tmp_path, capsys):
-        # int() refuses more than 4,300 digits with a plain ValueError
+        # int() refuses more than 4,300 digits; the message names the limit
+        # and does not pass on Python's advice to raise it
         f = tmp_path / "long.json"
         f.write_text("[[1" + "0" * 4999 + "]]")
+        assert main(["invert", str(f)]) == 2
+        err = capsys.readouterr().err
+        limit = sys.get_int_max_str_digits()
+        assert err == (f"error: invalid JSON: an integer literal of 5000 digits "
+                       f"is longer than the limit of {limit} digits\n")
+        assert "set_int_max_str_digits" not in err
+
+    @pytest.mark.parametrize("dim", [0, -2, 100000])
+    def test_bad_dim(self, tmp_path, capsys, dim):
+        # level 2 over R^100000 is past the cap, but level 1 is refused first
+        f = tmp_path / "dim.json"
+        f.write_text(f'{{"dim": {dim}, "depth": 2, "levels": [[1.0], [0.5], [0.125]]}}')
         assert main(["invert", str(f)]) == 2
         assert_one_error_line(capsys)
 

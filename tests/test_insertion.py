@@ -6,14 +6,11 @@ import pytest
 from siginvert import (
     NormTooSmall,
     PiecewiseLinearPath,
-    TensorLevel,
     TruncatedSignature,
     adjoint_contract,
     batch_invert,
     constant_speed_reparam,
-    insertion_apply,
     invert_signature,
-    linear_signature,
     path_signature,
     solve_slope,
 )
@@ -22,85 +19,82 @@ from conftest import random_path
 from oracles import (
     adjoint_oracle,
     euclidean_norm,
+    insertion_apply,
     insertion_chen_split,
+    linear_signature,
     trivial_signature,
 )
-
-
-def random_level(rng, dim, degree):
-    return TensorLevel(dim, degree, rng.standard_normal(dim**degree))
 
 
 class TestInsertionApply:
     def test_basis_insertion(self):
         # inserting e2 at slot 1 of e1 gives e2 (x) e1
-        e1 = TensorLevel(2, 1, np.array([1.0, 0.0]))
-        out = insertion_apply(e1, [0.0, 1.0], 1)
-        np.testing.assert_array_equal(out.coeffs, [0.0, 0.0, 1.0, 0.0])
+        e1 = np.array([1.0, 0.0])
+        out = insertion_apply(e1, [0.0, 1.0], 1, 1)
+        np.testing.assert_array_equal(out, [0.0, 0.0, 1.0, 0.0])
 
     def test_linear_signature_slot_independence(self):
         # for the signature of a single segment every slot gives the same
         # tensor, up to the degree factor (n+1)
         beta, n = np.array([0.4, -0.9]), 3
-        lvl = linear_signature(beta, 1.0, n).levels[n]
-        top = linear_signature(beta, 1.0, n + 1).levels[n + 1].coeffs
+        lvl = linear_signature(beta, 1.0, n).level(n)
+        top = linear_signature(beta, 1.0, n + 1).level(n + 1)
         for p in range(1, n + 2):
-            got = insertion_apply(lvl, beta, p).coeffs
+            got = insertion_apply(lvl, beta, n, p)
             np.testing.assert_allclose(got, (n + 1) * top, atol=1e-14)
 
     def test_norm_is_multiplicative(self, rng):
-        a = random_level(rng, 3, 2)
+        a = rng.standard_normal(3**2)
         y = rng.standard_normal(3)
         for p in (1, 2, 3):
-            out = insertion_apply(a, y, p)
+            out = insertion_apply(a, y, 2, p)
             assert euclidean_norm(out) == pytest.approx(
                 euclidean_norm(a) * np.linalg.norm(y), rel=1e-12
             )
 
     def test_linearity_in_y(self, rng):
-        a = random_level(rng, 2, 3)
+        a = rng.standard_normal(2**3)
         y, z = rng.standard_normal(2), rng.standard_normal(2)
-        lhs = insertion_apply(a, 2.0 * y + z, 2).coeffs
-        rhs = 2.0 * insertion_apply(a, y, 2).coeffs + insertion_apply(a, z, 2).coeffs
+        lhs = insertion_apply(a, 2.0 * y + z, 3, 2)
+        rhs = 2.0 * insertion_apply(a, y, 3, 2) + insertion_apply(a, z, 3, 2)
         np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
     def test_rejects_bad_slot(self, rng):
-        a = random_level(rng, 2, 2)
+        a = rng.standard_normal(2**2)
         with pytest.raises(ValueError):
-            insertion_apply(a, [1.0, 0.0], 0)
+            insertion_apply(a, [1.0, 0.0], 2, 0)
         with pytest.raises(ValueError):
-            insertion_apply(a, [1.0, 0.0], 4)
+            insertion_apply(a, [1.0, 0.0], 2, 4)
 
 
 class TestAdjoint:
     def test_scalar_case(self):
         # d=1, n=2: sig = [1/2], z = [1/6]; any slot contracts to 1/12
-        sig = TensorLevel(1, 2, np.array([0.5]))
-        z = TensorLevel(1, 3, np.array([1.0 / 6.0]))
+        sig, z = np.array([0.5]), np.array([1.0 / 6.0])
         for p in (1, 2, 3):
-            got = adjoint_contract(sig, z, p)
+            got = adjoint_contract(sig, z, 2, p)
             assert got[0] == pytest.approx(1.0 / 12.0, rel=1e-15)
 
     def test_adjoint_of_insertion_recovers_scaled_y(self, rng):
         # the normal-equation identity: A_p^T A_p y = ||sig||^2 y
         for d, n in [(1, 2), (2, 3), (3, 2)]:
-            sig = random_level(rng, d, n)
+            sig = rng.standard_normal(d**n)
             y = rng.standard_normal(d)
             for p in range(1, n + 2):
-                z = insertion_apply(sig, y, p)
-                got = adjoint_contract(sig, z, p)
+                z = insertion_apply(sig, y, n, p)
+                got = adjoint_contract(sig, z, n, p)
                 np.testing.assert_allclose(
                     got, euclidean_norm(sig) ** 2 * y, rtol=1e-12, atol=1e-14
                 )
 
     def test_inner_product_adjointness(self, rng):
         # <insert_p(y), z> == <y, adjoint_p(z)>
-        sig = random_level(rng, 2, 3)
+        sig = rng.standard_normal(2**3)
         y = rng.standard_normal(2)
-        z = random_level(rng, 2, 4)
+        z = rng.standard_normal(2**4)
         for p in range(1, 5):
-            lhs = float(insertion_apply(sig, y, p).coeffs @ z.coeffs)
-            rhs = float(y @ adjoint_contract(sig, z, p))
+            lhs = float(insertion_apply(sig, y, 3, p) @ z)
+            rhs = float(y @ adjoint_contract(sig, z, 3, p))
             assert lhs == pytest.approx(rhs, rel=1e-12)
 
     @pytest.mark.parametrize("d, n", [(1, 5), (2, 6), (2, 10), (3, 5), (4, 4)])
@@ -109,19 +103,18 @@ class TestAdjoint:
         # longer one einsum: each shape but d=1 (tail 1) runs both branches
         sig = path_signature(random_path(rng, 4, d), n + 1)
         # the adjoint is bilinear; unit-scale path levels keep atol relative
-        path_pair = [TensorLevel(d, k, sig.level(k) / np.abs(sig.level(k)).max())
-                     for k in (n, n + 1)]
-        for below, top in [(random_level(rng, d, n), random_level(rng, d, n + 1)),
-                           path_pair]:
+        path_pair = [sig.level(k) / np.abs(sig.level(k)).max() for k in (n, n + 1)]
+        random_pair = [rng.standard_normal(d**k) for k in (n, n + 1)]
+        for below, top in (random_pair, path_pair):
             for p in range(1, n + 2):
                 np.testing.assert_allclose(
-                    adjoint_contract(below, top, p), adjoint_oracle(below, top, p),
-                    rtol=1e-12, atol=1e-14)
+                    adjoint_contract(below, top, n, p),
+                    adjoint_oracle(below, top, n, p), rtol=1e-12, atol=1e-14)
 
     def test_zero_tensor(self, rng):
-        sig = random_level(rng, 2, 2)
-        z = TensorLevel(2, 3, np.zeros(8))
-        np.testing.assert_array_equal(adjoint_contract(sig, z, 2), [0.0, 0.0])
+        sig = rng.standard_normal(2**2)
+        z = np.zeros(8)
+        np.testing.assert_array_equal(adjoint_contract(sig, z, 2, 2), [0.0, 0.0])
 
 
 class TestSolveSlope:
@@ -129,12 +122,12 @@ class TestSolveSlope:
         beta, n = np.array([1.5, -0.25, 0.75]), 4
         sig = linear_signature(beta, 1.0, n + 1)
         for p in range(1, n + 2):
-            y = solve_slope(sig.levels[n], sig.levels[n + 1], p)
+            y = solve_slope(sig.level(n), sig.level(n + 1), n, p)
             np.testing.assert_allclose(y, beta, rtol=1e-12)
 
     def test_scalar_path(self):
         sig = linear_signature(np.array([1.0]), 1.0, 3)
-        y = solve_slope(sig.levels[2], sig.levels[3], 1)
+        y = solve_slope(sig.level(2), sig.level(3), 2, 1)
         assert y[0] == pytest.approx(1.0, rel=1e-14)
 
     def test_is_local_minimum(self, rng):
@@ -142,11 +135,10 @@ class TestSolveSlope:
         p, n = 2, 3
         path = random_path(rng, 3, 2)
         sig = path_signature(path, n + 1)
-        y = solve_slope(sig.levels[n], sig.levels[n + 1], p)
+        y = solve_slope(sig.level(n), sig.level(n + 1), n, p)
 
         def residual(v):
-            diff = insertion_apply(sig.levels[n], v, p).coeffs \
-                - (n + 1) * sig.levels[n + 1].coeffs
+            diff = insertion_apply(sig.level(n), v, n, p) - (n + 1) * sig.level(n + 1)
             return float(diff @ diff)
 
         base = residual(y)
@@ -157,10 +149,8 @@ class TestSolveSlope:
                 assert residual(y + e) >= base - 1e-15
 
     def test_raises_on_tiny_norm(self):
-        sig = TensorLevel(2, 2, np.zeros(4))
-        z = TensorLevel(2, 3, np.ones(8))
         with pytest.raises(NormTooSmall):
-            solve_slope(sig, z, 1)
+            solve_slope(np.zeros(4), np.ones(8), 2, 1)
 
     @pytest.mark.parametrize("below, top", [
         ([np.nan, 1.0], [1.0] * 4),      # NaN divisor
@@ -170,14 +160,18 @@ class TestSolveSlope:
     ], ids=["nan-norm", "inf-norm", "slope-overflow", "inf-slope"])
     def test_raises_on_non_finite(self, below, top):
         with pytest.raises(NormTooSmall):
-            solve_slope(TensorLevel(2, 1, np.array(below)),
-                        TensorLevel(2, 2, np.array(top)), 1)
+            solve_slope(np.array(below), np.array(top), 1, 1)
 
     def test_rejects_mismatched_levels(self, rng):
         with pytest.raises(ValueError):
-            solve_slope(random_level(rng, 2, 2), random_level(rng, 2, 2), 1)
+            solve_slope(rng.standard_normal(2**2), rng.standard_normal(2**2), 2, 1)
         with pytest.raises(ValueError):
-            solve_slope(random_level(rng, 2, 2), random_level(rng, 2, 3), 4)
+            solve_slope(rng.standard_normal(2**2), rng.standard_normal(2**3), 2, 4)
+        # d = 1: every level has one entry
+        with pytest.raises(ValueError, match="slot"):
+            adjoint_contract(np.array([0.5]), np.array([1.0 / 6.0]), 2, 4)
+        with pytest.raises(ValueError, match="degrees 2 and 3"):
+            solve_slope(np.array([0.5]), np.array([1.0, 2.0]), 2, 1)
 
     def test_bitwise_equal_to_inversion_slopes(self, rng):
         for d in (1, 2, 3):
@@ -185,7 +179,7 @@ class TestSolveSlope:
                 sig = path_signature(random_path(rng, 4, d), n)
                 slopes = invert_signature(sig).slopes
                 for p in range(1, n + 1):
-                    y = solve_slope(sig.levels[n - 1], sig.levels[n], p)
+                    y = solve_slope(sig.level(n - 1), sig.level(n), n - 1, p)
                     np.testing.assert_array_equal(y, slopes[p - 1])
 
 
@@ -216,26 +210,34 @@ class TestInvertSignature:
         np.testing.assert_allclose(res.path.points[-1],
                                    path.points[-1] - path.points[0], atol=5e-2)
 
+    @pytest.mark.parametrize("start", [[np.nan, 0.0], [np.inf, 0.0],
+                                       [0.0, -np.inf]], ids=["nan", "inf", "-inf"])
+    def test_non_finite_start_refused(self, rng, start):
+        # refused before the solve, not blamed on the signature
+        sig = path_signature(random_path(rng, 3, 2), 4)
+        with pytest.raises(ValueError, match=r"start point \[.*\] is not finite"):
+            invert_signature(sig, start=start)
+        with pytest.raises(ValueError, match="is not finite"):
+            batch_invert([sig, sig], [[0.0, 0.0], start])
+
     def test_depth_below_two_rejected(self):
         sig = linear_signature(np.array([1.0, 0.0]), 1.0, 1)
         with pytest.raises(ValueError):
             invert_signature(sig)
 
     def test_degenerate_signature_raises(self):
-        levels = trivial_signature(2, 4).levels
-        zeroed = TruncatedSignature(2, 4, levels)
         with pytest.raises(NormTooSmall):
-            invert_signature(zeroed)
+            invert_signature(trivial_signature(2, 4))
 
     def test_overflowing_signature_raises(self):
-        big = TruncatedSignature.from_arrays(
+        big = TruncatedSignature(
             2, [[1.0]] + [np.full(2**k, 1e200) for k in range(1, 5)])
         with pytest.raises(NormTooSmall):
             invert_signature(big)
 
     def test_overflowing_point_raises(self):
         # both slopes are 1e308; the second step from 1e308 passes float64
-        sig = TruncatedSignature.from_arrays(1, [[1.0], [1.0], [5e307]])
+        sig = TruncatedSignature(1, [[1.0], [1.0], [5e307]])
         np.testing.assert_array_equal(invert_signature(sig).slopes, 1e308)
         with pytest.raises(NormTooSmall):
             invert_signature(sig, start=[1e308])
@@ -314,9 +316,9 @@ class TestChenSplitIdentity:
         full = path_signature(path, n)
         for p in (1, 2, 4):
             for v in (0.3, 0.5, 0.85):
-                lhs = insertion_apply(full.levels[n], y, p)
+                lhs = insertion_apply(full.level(n), y, n, p)
                 rhs = insertion_chen_split(path, n, p, y, v)
-                np.testing.assert_allclose(lhs.coeffs, rhs.coeffs, atol=1e-12)
+                np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
     def test_rejects_bad_split_point(self, rng):
         path = random_path(rng, 2, 2)

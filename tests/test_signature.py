@@ -9,9 +9,7 @@ from siginvert import (
     AssumptionViolation,
     PiecewiseLinearPath,
     batch_signature,
-    chen_concat,
     constant_speed_reparam,
-    linear_signature,
     merge_degenerate,
     path_signature,
     segment_geometry,
@@ -21,7 +19,13 @@ from siginvert import signature
 from siginvert.tensor_algebra import get_allocation_cap
 
 from conftest import random_path
-from oracles import euclidean_norm, riemann_oracle, trivial_signature
+from oracles import (
+    chen_concat,
+    euclidean_norm,
+    linear_signature,
+    riemann_oracle,
+    trivial_signature,
+)
 
 
 class TestLinearSignature:

@@ -1,3 +1,4 @@
+import io
 import itertools
 
 import numpy as np
@@ -7,29 +8,26 @@ from hypothesis import strategies as st
 
 from siginvert import (
     AllocationCapError,
-    TensorLevel,
     TruncatedSignature,
+    batch_signature,
     graded_scale,
-    linear_signature,
     path_signature,
-    permute,
     set_allocation_cap,
-    tensor_product,
 )
+from siginvert.fileio import read_signatures_json
 from siginvert.tensor_algebra import DEFAULT_MAX_COEFFS, check_allocation
 
 from conftest import random_path
 from oracles import (
+    dumps_signatures,
     entry,
     euclidean_norm,
+    linear_signature,
     multi_index_to_offset,
     offset_to_multi_index,
-    zero_level,
+    permute,
+    tensor_product,
 )
-
-
-def random_level(rng, dim, degree):
-    return TensorLevel(dim, degree, rng.normal(size=dim**degree))
 
 
 class TestIndexing:
@@ -50,59 +48,56 @@ class TestIndexing:
         assert multi_index_to_offset((3, 1, 2), 3) == 2 * 9 + 0 * 3 + 1
 
     def test_getitem(self, rng):
-        a = random_level(rng, 3, 2)
-        assert entry(a, (2, 3)) == a.coeffs[1 * 3 + 2]
+        a = rng.normal(size=3**2)
+        assert entry(a, 3, (2, 3)) == a[1 * 3 + 2]
 
 
 class TestTensorProduct:
     def test_basis_element(self):
-        e1 = TensorLevel(2, 1, [1.0, 0.0])
-        e2 = TensorLevel(2, 1, [0.0, 1.0])
-        out = tensor_product(e1, e2)
-        np.testing.assert_array_equal(out.coeffs, [0.0, 1.0, 0.0, 0.0])
+        e1, e2 = np.array([1.0, 0.0]), np.array([0.0, 1.0])
+        out = tensor_product(e1, e2, 2)
+        np.testing.assert_array_equal(out, [0.0, 1.0, 0.0, 0.0])
 
     def test_scalar_scaling(self):
-        s = TensorLevel.scalar(2, 3.0)
-        v = TensorLevel(2, 1, [1.0, 2.0])
-        np.testing.assert_array_equal(tensor_product(s, v).coeffs, [3.0, 6.0])
+        s, v = np.array([3.0]), np.array([1.0, 2.0])
+        np.testing.assert_array_equal(tensor_product(s, v, 2), [3.0, 6.0])
 
     def test_matches_triple_loop_oracle(self, rng):
-        a = random_level(rng, 2, 2)
-        b = random_level(rng, 2, 1)
-        out = tensor_product(a, b)
+        a = rng.normal(size=2**2)
+        b = rng.normal(size=2**1)
+        out = tensor_product(a, b, 2)
         for idx_a in itertools.product((1, 2), repeat=2):
             for idx_b in ((1,), (2,)):
-                assert entry(out, idx_a + idx_b) == pytest.approx(
-                    entry(a, idx_a) * entry(b, idx_b), abs=0.0
+                assert entry(out, 2, idx_a + idx_b) == pytest.approx(
+                    entry(a, 2, idx_a) * entry(b, 2, idx_b), abs=0.0
                 )
 
     def test_bilinear(self, rng):
-        a1, a2 = random_level(rng, 2, 2), random_level(rng, 2, 2)
-        b = random_level(rng, 2, 3)
-        lhs = tensor_product(
-            TensorLevel(2, 2, 2.0 * a1.coeffs + a2.coeffs), b
-        ).coeffs
-        rhs = 2.0 * tensor_product(a1, b).coeffs + tensor_product(a2, b).coeffs
+        a1, a2 = rng.normal(size=2**2), rng.normal(size=2**2)
+        b = rng.normal(size=2**3)
+        lhs = tensor_product(2.0 * a1 + a2, b, 2)
+        rhs = 2.0 * tensor_product(a1, b, 2) + tensor_product(a2, b, 2)
         np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
     def test_dim_mismatch(self, rng):
+        # a level over R^3 has no degree over R^2
         with pytest.raises(ValueError):
-            tensor_product(random_level(rng, 2, 1), random_level(rng, 3, 1))
+            tensor_product(rng.normal(size=2**1), rng.normal(size=3**1), 2)
 
 
 class TestEuclideanNorm:
     def test_single_entry(self):
-        assert euclidean_norm(TensorLevel(2, 2, [0.5, 0, 0, 0])) == 0.5
+        assert euclidean_norm(np.array([0.5, 0, 0, 0])) == 0.5
 
     def test_zero(self):
-        assert euclidean_norm(zero_level(3, 2)) == 0.0
+        assert euclidean_norm(np.zeros(9)) == 0.0
 
     def test_multiplicative_over_products(self, rng):
         # admissible-norm law (ii)
         for _ in range(20):
-            a = random_level(rng, 2, rng.integers(1, 4))
-            b = random_level(rng, 2, rng.integers(1, 4))
-            assert euclidean_norm(tensor_product(a, b)) == pytest.approx(
+            a = rng.normal(size=2 ** rng.integers(1, 4))
+            b = rng.normal(size=2 ** rng.integers(1, 4))
+            assert euclidean_norm(tensor_product(a, b, 2)) == pytest.approx(
                 euclidean_norm(a) * euclidean_norm(b), abs=1e-12, rel=1e-12
             )
 
@@ -110,38 +105,36 @@ class TestEuclideanNorm:
 class TestPermute:
     def test_swap_is_transpose(self, rng):
         # positions swap: coefficient at (j1, j2) comes from (j2, j1)
-        a = random_level(rng, 2, 2)
-        out = permute(a, (2, 1))
-        np.testing.assert_array_equal(
-            out.coeffs.reshape(2, 2), a.coeffs.reshape(2, 2).T
-        )
+        a = rng.normal(size=2**2)
+        out = permute(a, 2, (2, 1))
+        np.testing.assert_array_equal(out.reshape(2, 2), a.reshape(2, 2).T)
 
     def test_identity(self, rng):
-        a = random_level(rng, 3, 3)
-        np.testing.assert_array_equal(permute(a, (1, 2, 3)).coeffs, a.coeffs)
+        a = rng.normal(size=3**3)
+        np.testing.assert_array_equal(permute(a, 3, (1, 2, 3)), a)
 
     def test_three_cycle(self, rng):
-        a = random_level(rng, 2, 3)
+        a = rng.normal(size=2**3)
         sigma = (2, 3, 1)
-        out = permute(a, sigma)
+        out = permute(a, 2, sigma)
         for idx in itertools.product((1, 2), repeat=3):
             # slot m of the result holds the source axis sigma(m)
             src = (idx[sigma[0] - 1], idx[sigma[1] - 1], idx[sigma[2] - 1])
-            assert entry(out, src) == entry(a, idx)
+            assert entry(out, 2, src) == entry(a, 2, idx)
 
     def test_norm_preserved(self, rng):
         # admissible-norm law (i)
         for _ in range(20):
             k = int(rng.integers(1, 5))
-            a = random_level(rng, 2, k)
+            a = rng.normal(size=2**k)
             sigma = tuple(rng.permutation(k) + 1)
-            assert euclidean_norm(permute(a, sigma)) == pytest.approx(
+            assert euclidean_norm(permute(a, 2, sigma)) == pytest.approx(
                 euclidean_norm(a), abs=1e-12
             )
 
     def test_rejects_non_bijection(self, rng):
         with pytest.raises(ValueError):
-            permute(random_level(rng, 2, 2), (1, 1))
+            permute(rng.normal(size=2**2), 2, (1, 1))
 
 
 class TestGradedScale:
@@ -152,9 +145,7 @@ class TestGradedScale:
             np.testing.assert_array_equal(t.level(k), s.level(k))
 
     def test_definition(self):
-        s = TruncatedSignature.from_arrays(
-            2, [[1.0], [1.0, 2.0], [1.0, 0.0, 0.0, 1.0]]
-        )
+        s = TruncatedSignature(2, [[1.0], [1.0, 2.0], [1.0, 0.0, 0.0, 1.0]])
         t = graded_scale(s, 2.0)
         np.testing.assert_array_equal(t.level(1), [2.0, 4.0])
         np.testing.assert_array_equal(t.level(2), [4.0, 0.0, 0.0, 4.0])
@@ -178,5 +169,29 @@ class TestAllocationCap:
             set_allocation_cap(DEFAULT_MAX_COEFFS)
 
     def test_signature_validates_levels(self):
-        with pytest.raises(ValueError):
-            TruncatedSignature.from_arrays(2, [[1.0], [1.0, 2.0, 3.0]])
+        for dim, levels in [(2, [[1.0], [1.0, 2.0, 3.0]]), (0, [[1.0]]),
+                            (-2, [[1.0]]), (2, [])]:
+            with pytest.raises(ValueError):
+                TruncatedSignature(dim, levels)
+
+
+class TestConstructor:
+    @pytest.mark.parametrize("how", ["batch-chunk", "batch-alone", "path",
+                                     "graded-scale", "json"])
+    def test_levels_are_read_only_float64(self, rng, how):
+        # the three 3-segment paths share a chunk of batch_signature, and
+        # the 5-segment path is signed alone
+        paths = [random_path(rng, m, 2) for m in (3, 3, 3, 5)]
+        sig = path_signature(paths[0], 4)
+        text = dumps_signatures([("a", sig), ("b", sig)])
+        sigs = {"batch-chunk": lambda: batch_signature(paths, 4)[:3],
+                "batch-alone": lambda: batch_signature(paths, 4)[3:],
+                "path": lambda: [sig],
+                "graded-scale": lambda: [graded_scale(sig, 1.5)],
+                "json": lambda: [s for _, s in read_signatures_json(io.StringIO(text))],
+                }[how]()
+        for s in sigs:
+            assert (s.dim, s.depth) == (2, 4)
+            for k, lvl in enumerate(s.levels):
+                assert lvl.dtype == np.float64 and lvl.shape == (2**k,)
+                assert not lvl.flags.writeable
