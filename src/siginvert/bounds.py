@@ -31,11 +31,14 @@ class RecoveryBoundInput:
     probe_depth: int | None = None  # k_n, defaults to n
 
     def __post_init__(self):
-        t = np.asarray(self.breakpoints, dtype=np.float64)
+        t = np.array(self.breakpoints, dtype=np.float64)  # the caller's stays its own
         if t.shape != (self.segments + 1,):
             raise ValueError("need segments + 1 breakpoints")
-        if abs(t[0]) > 1e-12 or abs(t[-1] - 1.0) > 1e-12 or np.any(np.diff(t) <= 0):
+        # nan fails every comparison, so a nan breakpoint is refused
+        if (abs(t[0]) > 1e-12 or abs(t[-1] - 1.0) > 1e-12
+                or not np.all(np.diff(t) > 0)):
             raise ValueError("breakpoints must satisfy 0 = t_0 < ... < t_M = 1")
+        t.setflags(write=False)
         object.__setattr__(self, "breakpoints", t)
         if not 1 <= self.target <= self.segments:
             raise ValueError("target segment index out of range")
@@ -80,8 +83,6 @@ def recovery_error_bound(inp: RecoveryBoundInput) -> float:
     math.inf otherwise.
     """
     delta = inp.delta
-    if delta <= 0:
-        raise ValueError("target segment has non-positive width")
     k = inp.k_n
     exponent = (inp.segments - 1) * k_of_omega(inp.omega)
     bracket = (math.sqrt((1.0 - delta) / delta) / math.sqrt(k + 1)

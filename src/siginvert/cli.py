@@ -34,11 +34,7 @@ from .signature import (
     path_signature,
     segment_geometry,
 )
-from .tensor_algebra import (
-    check_allocation,
-    get_allocation_cap,
-    set_allocation_cap,
-)
+from .tensor_algebra import get_allocation_cap, set_allocation_cap
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -112,7 +108,6 @@ def cmd_sign(args) -> int:
 
 def _parse_start(raw: str | None, dim: int) -> np.ndarray:
     if raw is None:
-        check_allocation(dim, 1)  # a depth-0 record can claim any dim
         return np.zeros(dim)
     try:
         vec = np.array([float(f) for f in raw.split(",")])
@@ -188,7 +183,8 @@ def cmd_trend(args) -> int:
 
 
 def normalize_unit_length(path: PiecewiseLinearPath) -> PiecewiseLinearPath:
-    """Constant-speed reparameterization plus scaling to total variation 1.
+    """Constant-speed reparameterization, translation to start at the
+    origin (far points would overflow) and scaling to total variation 1.
 
     A path that cannot be reparameterized, or whose length float64 cannot
     scale to 1, is an AssumptionViolation.
@@ -202,7 +198,7 @@ def normalize_unit_length(path: PiecewiseLinearPath) -> PiecewiseLinearPath:
         raise AssumptionViolation(
             f"a path of length {ell} cannot be scaled to length 1 in float64"
         )
-    return path.scaled(1.0 / ell)
+    return path.translated(-path.points[0]).scaled(1.0 / ell)
 
 
 def cmd_develop(args) -> int:

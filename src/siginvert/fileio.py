@@ -9,7 +9,9 @@ with level k holding d**k reals; a batch is a JSON array of such objects.
 An optional "id" key, a string or an integer unique within the file, tags
 records from multi-path files; a record without one takes its index.
 Level entries must be JSON numbers.  The writer's bytes are those of
-``json.dump(..., indent=2)``; it refuses non-finite levels.
+``json.dump(..., indent=2)``.  Reader and writer rely on
+``TruncatedSignature``, which checks the cap (dim included), the size and
+finiteness of every level, so a non-finite level is never read or written.
 
 Decimal text is used throughout: CSV floats carry 17 significant digits,
 JSON floats the shortest repr that round-trips, as ``json`` writes them.
@@ -160,8 +162,6 @@ def record_to_signature(rec: dict) -> TruncatedSignature:
         sig = TruncatedSignature(dim, levels)
     except (ValueError, TypeError, OverflowError) as exc:
         raise InputFormatError(str(exc)) from exc
-    if not all(np.isfinite(lvl).all() for lvl in sig.levels):
-        raise InputFormatError("signature record has a non-finite level entry")
     return sig
 
 
@@ -193,13 +193,9 @@ def write_signatures_json(stream, sigs_with_ids) -> None:
     when it is not None (one object for one record).  Level entries
     pass through one buffer of ``_JSON_CHUNK`` floats, across level and
     record boundaries; each full buffer is formatted at once and its text
-    cut at those boundaries.  A non-finite level entry raises ValueError
-    before anything is written.
+    cut at those boundaries.
     """
     items = list(sigs_with_ids)
-    for _, sig in items:
-        if not all(np.isfinite(lvl).all() for lvl in sig.levels):
-            raise ValueError("cannot write a non-finite signature level entry")
     if not items:
         stream.write("[]\n")
         return

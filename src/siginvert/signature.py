@@ -234,7 +234,8 @@ def batch_signature(paths, depth: int) -> list[TruncatedSignature]:
     Paths with equal segment counts are signed together, one sweep of
     ``_horner_sweep`` per chunk whose Horner scratch stays under
     ``_BATCH_SCRATCH`` coefficients; a path whose count no other path
-    shares is signed alone.  Each signature owns its arrays.  Cost
+    shares is signed alone.  ``TruncatedSignature`` copies and checks each
+    path's levels before the next chunk is signed.  Cost
     O(M d^depth (d/(d-1))^2) multiply-adds per path of M segments; level 1
     equals the endpoint displacement.
 
@@ -257,29 +258,23 @@ def batch_signature(paths, depth: int) -> list[TruncatedSignature]:
     order = np.argsort(counts, kind="stable")
     groups = np.split(order, np.flatnonzero(np.diff(counts[order])) + 1)
     chunk = max(1, _BATCH_SCRATCH // max(1, _scratch_size(d, depth)))
-    found = [None] * len(paths)
-    first_overflow = np.full(len(paths), -1)
+    found, failed = [None] * len(paths), {}
     for idx in (g[lo:lo + chunk] for g in groups for lo in range(0, len(g), chunk)):
-        # overflow is reported below, per path and level
+        # an overflow leaves inf or nan behind, which the constructor refuses
         with np.errstate(over="ignore", invalid="ignore"):
             increments = np.stack([np.diff(paths[i].points, axis=0) for i in idx],
                                   axis=-1)
             levels = _horner_sweep(increments, depth)
-        finite = np.array([np.isfinite(lvl).all(axis=0) for lvl in levels])
-        overflowed = ~finite.all(axis=0)
-        first_overflow[idx[overflowed]] = finite[:, overflowed].argmin(axis=0)
         for j, i in enumerate(idx):
-            # a path of a wider chunk gets its own copy, not a view that
-            # would keep the chunk's levels alive
-            found[i] = [lvl[:, j].copy() if len(idx) > 1 else lvl[:, j]
-                        for lvl in levels]
-    failed = np.flatnonzero(first_overflow >= 0)
-    if failed.size:
+            try:
+                found[i] = TruncatedSignature(d, [lvl[:, j] for lvl in levels])
+            except ValueError as exc:
+                failed[i] = str(exc)
+    if failed:
         raise AssumptionViolation(
-            f"level {first_overflow[failed[0]]} of the depth-{depth} "
-            "signature overflows float64"
+            f"the depth-{depth} signature overflows float64: {failed[min(failed)]}"
         )
-    return [TruncatedSignature(d, lvls) for lvls in found]
+    return found
 
 
 def path_signature(path: PiecewiseLinearPath, depth: int) -> TruncatedSignature:

@@ -40,11 +40,14 @@ def check_allocation(dim: int, degree: int) -> None:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TruncatedSignature:
     """Levels 0..depth over R^dim; level k is a flat, read-only float64
-    array of dim**k coefficients.  Each level is converted to float64, then
-    checked against the allocation cap and its size, in level order."""
+    array of dim**k finite coefficients.  The one check of a signature:
+    each level is copied to float64, then checked against the allocation
+    cap, its size and finiteness, in level order; last, dim itself against
+    the cap, so a depth-0 signature cannot claim any dim.  Equality is
+    identity."""
 
     dim: int
     levels: tuple[np.ndarray, ...] = field(repr=False)
@@ -54,15 +57,18 @@ class TruncatedSignature:
             raise ValueError("need dim >= 1 and at least level 0")
         levels = []
         for k, lvl in enumerate(self.levels):
-            c = np.ascontiguousarray(lvl, dtype=np.float64)
+            c = np.array(lvl, dtype=np.float64)
             check_allocation(self.dim, k)
             if c.shape != (self.dim**k,):
                 raise ValueError(
                     f"degree-{k} tensor over R^{self.dim} needs "
                     f"{self.dim ** k} coefficients, got {c.size}"
                 )
+            if not np.isfinite(c).all():
+                raise ValueError(f"level {k} has a non-finite entry")
             c.setflags(write=False)
             levels.append(c)
+        check_allocation(self.dim, 1)
         object.__setattr__(self, "levels", tuple(levels))
 
     @property
@@ -75,5 +81,8 @@ class TruncatedSignature:
 
 
 def graded_scale(s: TruncatedSignature, alpha: float) -> TruncatedSignature:
-    """Scale level k by alpha**k; the signature of the path alpha * X."""
-    return TruncatedSignature(s.dim, [alpha**k * lvl for k, lvl in enumerate(s.levels)])
+    """Scale level k by alpha**k; the signature of the path alpha * X.
+    A level scaled past float64 raises the constructor's ValueError."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        levels = [np.float64(alpha)**k * lvl for k, lvl in enumerate(s.levels)]
+    return TruncatedSignature(s.dim, levels)

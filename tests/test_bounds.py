@@ -94,6 +94,21 @@ class TestRecoveryErrorBound:
                               breakpoints=np.array([0.0, 0.5, 1.0]),
                               target=3, ell=1.0, omega=1.0, depth=5)
 
+    @pytest.mark.parametrize("t", [[0.0, math.nan, 1.0], [math.nan, 0.5, 1.0],
+                                   [0.0, 0.5, math.nan]])
+    def test_nan_breakpoint_refused(self, t):
+        with pytest.raises(ValueError, match="breakpoints"):
+            RecoveryBoundInput(segments=2, breakpoints=np.array(t),
+                              target=1, ell=1.0, omega=1.0, depth=5)
+
+    def test_breakpoints_are_copied(self):
+        # a later change to the caller's array cannot undo the check
+        t = np.array([0.0, 0.5, 1.0])
+        inp = RecoveryBoundInput(segments=2, breakpoints=t, target=1,
+                                 ell=1.0, omega=1.0, depth=5)
+        t[1] = -0.5
+        assert inp.delta == 0.5 and not inp.breakpoints.flags.writeable
+
 
 class TestDepthFloor:
     def test_single_segment(self):

@@ -13,11 +13,18 @@ from siginvert import (
     InputFormatError,
     PiecewiseLinearPath,
     TruncatedSignature,
+    constant_speed_reparam,
     invert_signature,
     path_signature,
+    segment_geometry,
 )
 from siginvert import fileio
-from siginvert.cli import main, resample_arclength, roundtrip_errors
+from siginvert.cli import (
+    main,
+    normalize_unit_length,
+    resample_arclength,
+    roundtrip_errors,
+)
 from siginvert.fileio import (
     format_float,
     read_paths_csv,
@@ -140,15 +147,6 @@ class TestSignatureJson:
         assert sink.chars == len(dumps_signatures([("x", deep_planar_signature)]))
         # a whole level held as text, as json.dump holds it, exceeds a quarter
         assert peak < level_reprs / 4
-
-    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
-    def test_writer_refuses_non_finite_level(self, rng, bad):
-        good = edge_signature(rng, 2, 2)
-        sig = TruncatedSignature(2, [[1.0], [0.5, bad], [0.0] * 4])
-        buf = io.StringIO()
-        with pytest.raises(ValueError, match="non-finite"):
-            fileio.write_signatures_json(buf, [("a", good), ("b", sig)])
-        assert buf.getvalue() == ""
 
     def test_roundtrip_bit_identical(self, rng):
         sig = path_signature(random_path(rng, 3, 2), 4)
@@ -512,6 +510,23 @@ class TestDevelopCli:
                                 [[0.0, 0.0], [1.0, 0.0], [0.25, 0.0]])
         assert main(["develop", f]) == 4
 
+    def test_short_path_far_from_origin(self, tmp_path, capsys):
+        # scaling the absolute points by 1/ell = 1e10 would overflow them
+        f = write_path_csv_file(tmp_path, "far.csv", [[1e300, 0.0], [1e300, 1e-10]])
+        assert main(["develop", f]) == 0
+        rep = json.loads(capsys.readouterr().out)
+        assert rep["segments"] == 1 and rep["satisfied"] is True
+        assert all(math.isfinite(v) for v in (rep["lhs"], rep["rhs"], rep["alpha"]))
+
+    def test_path_from_origin_normalizes_as_before(self, rng):
+        # translating by -0.0 keeps every bit of a path that starts at (0, 0)
+        path = PiecewiseLinearPath(np.vstack([[0.0, 0.0], rng.normal(size=(6, 2))]))
+        path = constant_speed_reparam(path)
+        ell = segment_geometry(path).total_variation
+        got = normalize_unit_length(path)
+        assert got.points.tobytes() == path.scaled(1.0 / ell).points.tobytes()
+        assert got.times.tobytes() == path.times.tobytes()
+
 
 class TestExitCodes:
     def test_missing_file_is_input_error(self):
@@ -647,6 +662,17 @@ class TestBadArguments:
     def test_huge_dim_without_levels_to_match(self, tmp_path, capsys):
         f = tmp_path / "wide.json"
         f.write_text('{"dim": 1' + "0" * 400 + ', "depth": 0, "levels": [[1.0]]}')
+        assert main(["invert", str(f)]) == 3
+        assert_one_error_line(capsys)
+
+    @pytest.mark.parametrize("depth", [0, 1], ids=["depth-0", "level-1"])
+    def test_later_record_past_the_cap(self, tmp_path, capsys, depth):
+        # a depth-0 record cannot claim a dim whose level 1 is past the
+        # cap, even when it is not the record the batch dim comes from
+        good = signature_to_record(linear_signature(np.array([1.0, 0.5]), 1.0, 2))
+        wide = {"dim": 10**9, "depth": depth, "levels": [[1.0], [0.5]][:depth + 1]}
+        f = tmp_path / "wide.json"
+        f.write_text(json.dumps([good, wide]))
         assert main(["invert", str(f)]) == 3
         assert_one_error_line(capsys)
 

@@ -158,6 +158,24 @@ class TestGradedScale:
         for k in range(5):
             np.testing.assert_allclose(lhs.level(k), rhs.level(k), atol=1e-10)
 
+    @pytest.mark.parametrize("alpha", [1e-300, -0.3, 1.7, -1e20, 1e60])
+    def test_finite_results_keep_their_bits(self, rng, alpha):
+        s = path_signature(random_path(rng, 3, 2), 4)
+        t = graded_scale(s, alpha)
+        for k in range(5):
+            assert t.level(k).tobytes() == (alpha**k * s.level(k)).tobytes()
+
+    @pytest.mark.parametrize("alpha, levels", [
+        (1e100, [[1.0], [1.0, 0.0], [0.5, 0.5, 0.0, 0.0], [1.0] * 8,
+                 [1.0] * 16]),                         # alpha**4 overflows
+        (-1e10, [[1.0], [1e300, 0.0]]),                # a product overflows
+        (1e200, [[1.0], [0.0, 1.0], [0.0, 0.0, 0.0, 1e-300]]),  # 0 * inf
+    ], ids=["power", "product", "zero-times-inf"])
+    def test_scale_past_float64_is_refused(self, alpha, levels):
+        s = TruncatedSignature(2, levels)
+        with pytest.raises(ValueError, match="non-finite"):
+            graded_scale(s, alpha)
+
 
 class TestAllocationCap:
     def test_cap_refused_with_clear_error(self):
@@ -195,3 +213,30 @@ class TestConstructor:
             for k, lvl in enumerate(s.levels):
                 assert lvl.dtype == np.float64 and lvl.shape == (2**k,)
                 assert not lvl.flags.writeable
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_refuses_non_finite_level(self, bad):
+        with pytest.raises(ValueError, match="level 1 has a non-finite"):
+            TruncatedSignature(2, [[1.0], [0.5, bad], [0.0] * 4])
+
+    def test_caller_array_stays_writeable(self):
+        x = np.array([0.5, 0.25])
+        sig = TruncatedSignature(2, [[1.0], x])
+        assert x.flags.writeable
+        x[0] = 1.0
+        assert sig.level(1).tolist() == [0.5, 0.25]
+
+    def test_dim_past_the_cap_refused_at_depth_0(self):
+        set_allocation_cap(1000)
+        try:
+            with pytest.raises(AllocationCapError, match="cap"):
+                TruncatedSignature(1001, [[1.0]])
+            assert TruncatedSignature(1000, [[1.0]]).depth == 0
+        finally:
+            set_allocation_cap(DEFAULT_MAX_COEFFS)
+
+    def test_equality_is_identity_and_hashable(self):
+        a = TruncatedSignature(2, [[1.0], [0.5, 0.25]])
+        b = TruncatedSignature(2, [[1.0], [0.5, 0.25]])
+        assert a == a and a != b
+        assert len({a, b, a}) == 2
