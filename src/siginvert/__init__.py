@@ -3,7 +3,6 @@ hyperbolic-development checks behind the method's guarantees."""
 
 from .bounds import (
     ErrorComparison,
-    RecoveryBoundInput,
     compare_recovery,
     depth_floor,
     probe_slot,

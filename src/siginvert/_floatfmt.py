@@ -17,7 +17,7 @@ kernel computes the same text for a whole array in three steps:
    digits past the last one shown.
 3. Compaction: one ``bytes.translate`` deletes the NUL bytes.
 
-Only finite values are formatted; the writer refuses the others first.
+Only finite values are formatted; ``TruncatedSignature`` refuses the others.
 """
 
 from __future__ import annotations

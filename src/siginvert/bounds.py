@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -18,41 +19,46 @@ from .signature import (
 )
 
 
-@dataclass(frozen=True)
-class RecoveryBoundInput:
-    """Inputs of the slope-error bound for one target segment."""
+def _check(delta, *, ell=1.0, segments=1, n=0) -> None:
+    """Refuse arguments outside the bounds' domain, nan included (it fails
+    every comparison); n and M are used as floats, exact up to 2**53."""
+    if not 0.0 < delta <= 1.0:
+        raise ValueError(f"delta must lie in (0, 1], got {delta}")
+    if not 0.0 < ell < math.inf:
+        raise ValueError(f"ell must be finite and > 0, got {ell}")
+    for name, value, low in (("segments", segments, 1), ("n", n, 0)):
+        if not (isinstance(value, Integral) and low <= value <= 2**53):
+            raise ValueError(
+                f"{name} must be an integer in [{low}, 2**53], got {value!r}")
 
-    segments: int            # M
-    breakpoints: np.ndarray  # t_0 = 0 < ... < t_M = 1
-    target: int              # segment index i, 1-based
-    ell: float               # path length
-    omega: float             # smallest turning angle
-    depth: int               # n
-    probe_depth: int | None = None  # k_n, defaults to n
 
-    def __post_init__(self):
-        t = np.array(self.breakpoints, dtype=np.float64)  # the caller's stays its own
-        if t.shape != (self.segments + 1,):
-            raise ValueError("need segments + 1 breakpoints")
-        # nan fails every comparison, so a nan breakpoint is refused
-        if (abs(t[0]) > 1e-12 or abs(t[-1] - 1.0) > 1e-12
-                or not np.all(np.diff(t) > 0)):
-            raise ValueError("breakpoints must satisfy 0 = t_0 < ... < t_M = 1")
-        t.setflags(write=False)
-        object.__setattr__(self, "breakpoints", t)
-        if not 1 <= self.target <= self.segments:
-            raise ValueError("target segment index out of range")
-        if not 0.0 < self.omega <= math.pi:
-            raise ValueError("omega must lie in (0, pi]")
+def _bracket(delta: float, n: int) -> tuple[float, float]:
+    """sqrt((1-D)/D)/sqrt(n+1) + 4 exp(-n D^2/16) and its log, also where
+    the bracket underflows to 0 (at D = 1 the root term is 0) or overflows
+    (at a subnormal D, where the root term dominates)."""
+    value = (math.sqrt((1.0 - delta) / delta) / math.sqrt(n + 1)
+             + 4.0 * math.exp(-n * delta**2 / 16.0))
+    if 0.0 < value < math.inf:
+        return value, math.log(value)
+    if value == 0.0:
+        return value, math.log(4.0) - n / 16.0
+    return value, 0.5 * (math.log1p(-delta) - math.log(delta) - math.log(n + 1))
 
-    @property
-    def delta(self) -> float:
-        return float(self.breakpoints[self.target]
-                     - self.breakpoints[self.target - 1])
 
-    @property
-    def k_n(self) -> int:
-        return self.depth if self.probe_depth is None else self.probe_depth
+def _finite_or_log(direct, log: float) -> float:
+    """The product ``direct()`` where it is finite and nonzero, else exp(log),
+    its value taken in log space: math.inf or 0 only when the value leaves
+    float range (every bound is positive)."""
+    try:
+        value = direct()
+    except OverflowError:
+        value = math.inf
+    if 0.0 < value < math.inf:  # a factor past float range gives 0, inf or nan
+        return value
+    try:
+        return math.exp(log)
+    except OverflowError:
+        return math.inf
 
 
 def probe_slot(t_prev: float, t_i: float, n: int) -> int:
@@ -61,42 +67,30 @@ def probe_slot(t_prev: float, t_i: float, n: int) -> int:
     return min(max(p, 1), n + 1)
 
 
-def depth_floor(inp: RecoveryBoundInput) -> float:
-    """The depth the guarantee formally requires, max(n1, 2/delta);
-    reported, never enforced (n1 is astronomically large for small
-    omega, and math.inf once it leaves float range)."""
-    try:
-        n1 = math.floor(4.0 * math.exp(
-            2.0 * (inp.segments - 1) * k_of_omega(inp.omega)))
-    except OverflowError:
-        n1 = math.inf
-    return max(n1, 2.0 / inp.delta)
+def depth_floor(segments: int, omega: float, delta: float) -> float:
+    """The depth the guarantee formally requires, max(n1, 2/D) with
+    n1 = floor(4 e^{2 (M-1) K(omega)}); reported, never enforced (n1 is
+    astronomically large for small omega, and math.inf once it leaves
+    float range)."""
+    _check(delta, segments=segments)
+    exponent = 2.0 * (segments - 1) * k_of_omega(omega)
+    n1 = _finite_or_log(lambda: math.floor(4.0 * math.exp(exponent)),
+                        math.log(4.0) + exponent)
+    return max(n1, 2.0 / delta)
 
 
-def recovery_error_bound(inp: RecoveryBoundInput) -> float:
-    """Right-hand side of the slope-error bound at probe depth k_n:
-    4 ell e^{(M-1)K(omega)} (sqrt((1-D)/D)/sqrt(k_n+1) + 4 exp(-k_n D^2/16)),
-    with D the target segment's time width.
-
-    When e^{(M-1)K(omega)} or a partial product leaves float range, the
-    product is taken in log space: finite whenever it is representable,
-    math.inf otherwise.
-    """
-    delta = inp.delta
-    k = inp.k_n
-    exponent = (inp.segments - 1) * k_of_omega(inp.omega)
-    bracket = (math.sqrt((1.0 - delta) / delta) / math.sqrt(k + 1)
-               + 4.0 * math.exp(-k * delta**2 / 16.0))
-    try:
-        bound = 4.0 * inp.ell * math.exp(exponent) * bracket
-    except OverflowError:
-        bound = math.inf
-    if bound < math.inf:
-        return bound
-    try:
-        return math.exp(math.log(4.0 * inp.ell) + exponent + math.log(bracket))
-    except OverflowError:
-        return math.inf
+def recovery_error_bound(ell: float, segments: int, omega: float,
+                         delta: float, n: int) -> float:
+    """Right-hand side of the slope-error bound at depth n:
+    4 ell e^{(M-1)K(omega)} (sqrt((1-D)/D)/sqrt(n+1) + 4 exp(-n D^2/16))
+    for a path of length ell and M segments, smallest turning angle omega
+    and target segment width D."""
+    _check(delta, ell=ell, segments=segments, n=n)
+    exponent = (segments - 1) * k_of_omega(omega)
+    bracket, log_bracket = _bracket(delta, n)
+    return _finite_or_log(
+        lambda: 4.0 * ell * math.exp(exponent) * bracket,
+        math.log(4.0) + math.log(ell) + exponent + log_bracket)
 
 
 def residual_envelope_bound(ell: float, delta: float, n: int) -> float:
@@ -105,11 +99,11 @@ def residual_envelope_bound(ell: float, delta: float, n: int) -> float:
 
     Valid for all n >= 2/delta, no subsequence needed.
     """
-    if not 0.0 < delta <= 1.0:
-        raise ValueError("delta must lie in (0, 1]")
-    bracket = (math.sqrt((1.0 - delta) / delta) / math.sqrt(n + 1)
-               + 4.0 * math.exp(-n * delta**2 / 16.0))
-    return ell ** (n + 1) / math.factorial(n) * bracket
+    _check(delta, ell=ell, n=n)
+    bracket, log_bracket = _bracket(delta, n)
+    return _finite_or_log(
+        lambda: math.pow(ell, n + 1) / math.gamma(n + 1) * bracket,
+        (n + 1) * math.log(ell) - math.lgamma(n + 1) + log_bracket)
 
 
 @dataclass(frozen=True)
@@ -129,7 +123,7 @@ def compare_recovery(path: PiecewiseLinearPath,
                      depth_list) -> list[ErrorComparison]:
     """Sign the path to depth n+1 for each n, solve the slope at the
     probe slot for every segment, and record measured error against the
-    bound (evaluated at k_n = n)."""
+    bound."""
     path = constant_speed_reparam(path)
     geom = segment_geometry(path)
     require_clean_angles(geom)
@@ -142,14 +136,12 @@ def compare_recovery(path: PiecewiseLinearPath,
             p = probe_slot(t[i - 1], t[i], n)
             y = solve_slope(sig.level(n), sig.level(n + 1), n, p)
             measured = float(np.linalg.norm(y - geom.slopes[i - 1]))
-            inp = RecoveryBoundInput(
-                segments=m, breakpoints=t, target=i,
-                ell=geom.total_variation, omega=geom.min_angle, depth=n,
-            )
-            bound = recovery_error_bound(inp)
+            delta = float(t[i] - t[i - 1])
+            bound = recovery_error_bound(geom.total_variation, m,
+                                         geom.min_angle, delta, n)
             rows.append(ErrorComparison(
                 depth=n, segment=i, p_used=p, measured=measured,
                 bound=bound, satisfied=measured <= bound,
-                depth_floor=depth_floor(inp),
+                depth_floor=depth_floor(m, geom.min_angle, delta),
             ))
     return rows

@@ -73,10 +73,13 @@ def develop_checkpoints(path: PiecewiseLinearPath) -> list[np.ndarray]:
 
 
 def k_of_omega(omega: float) -> float:
-    """K(omega) = log(2 / (1 - cos(omega/2))), the per-kink distance loss."""
+    """K(omega) = log(2 / (1 - cos(omega/2))) = -2 log(sin(omega/4)), the
+    per-kink distance loss; the sine form does not cancel for small omega."""
     if not 0.0 < omega <= math.pi:
         raise ValueError("omega must lie in (0, pi]")
-    return math.log(2.0 / (1.0 - math.cos(omega / 2.0)))
+    if omega < 1e-8:  # sin(omega/4) == omega/4 in float64, which may underflow
+        return 2.0 * (math.log(4.0) - math.log(omega))
+    return -2.0 * math.log(math.sin(omega / 4.0))
 
 
 @dataclass(frozen=True)
@@ -105,6 +108,8 @@ def norm_lower_bound_check(path: PiecewiseLinearPath,
     is 2 K(omega)/D.  An alpha above 700, or 2 (M-1) K(omega) above 700,
     would overflow float64 and is refused.
     """
+    if alpha is not None and not math.isfinite(alpha):
+        raise ValueError(f"alpha={alpha} is not finite")
     geom = segment_geometry(path)
     if abs(geom.total_variation - 1.0) > 1e-8:
         raise ValueError(

@@ -45,7 +45,8 @@ def _is_float(s: str) -> bool:
 def read_paths_csv(stream) -> list[tuple[str, PiecewiseLinearPath]]:
     """Parse a path CSV into (id, path) pairs, ordered by first appearance."""
     if isinstance(stream, str):
-        with open(stream, newline="", encoding="utf-8") as fh:
+        # utf-8-sig drops a byte-order mark, which made row 1 read as a header
+        with open(stream, newline="", encoding="utf-8-sig") as fh:
             return read_paths_csv(fh)
     try:
         rows = [r for r in csv.reader(stream) if r and any(f.strip() for f in r)]

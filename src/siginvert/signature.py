@@ -29,8 +29,8 @@ class PiecewiseLinearPath:
     """Ordered points in R^d with strictly increasing times.
 
     Times default to the uniform grid i/M on [0, 1].  Fewer than 2 points,
-    a times array of another length, and times that are not finite and
-    strictly increasing raise ValueError; the points are not checked.
+    a point that is not finite, a times array of another length, and times
+    that are not finite and strictly increasing raise ValueError.
     """
 
     points: np.ndarray
@@ -40,6 +40,8 @@ class PiecewiseLinearPath:
         pts = np.atleast_2d(np.asarray(self.points, dtype=np.float64))
         if pts.ndim != 2 or pts.shape[0] < 2:
             raise ValueError("fewer than 2 points in R^d")
+        if not np.isfinite(pts).all():
+            raise ValueError("the path has a non-finite point")
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
         m = pts.shape[0] - 1

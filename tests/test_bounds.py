@@ -3,10 +3,11 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from siginvert import (
     PiecewiseLinearPath,
-    RecoveryBoundInput,
     compare_recovery,
     depth_floor,
     k_of_omega,
@@ -39,93 +40,93 @@ class TestProbeSlot:
             assert 1 <= probe_slot(0.999, 1.0, n) <= n + 1
 
 
+# Arguments outside the bounds' domain, one at a time, on top of valid
+# ones; each must raise ValueError.
+OUT_OF_DOMAIN = [
+    ("delta", math.nan), ("delta", 0.0), ("delta", 1.5),
+    ("ell", math.nan), ("ell", -1.0), ("n", -1), ("segments", 0),
+]
+
+
 class TestRecoveryErrorBound:
     def test_single_segment_specialization(self):
         # M = 1, delta = 1: the bracket collapses to 4 exp(-k/16)
-        inp = RecoveryBoundInput(segments=1, breakpoints=np.array([0.0, 1.0]),
-                                target=1, ell=2.0, omega=math.pi, depth=16)
         want = 16.0 * 2.0 * math.exp(-16.0 / 16.0)
-        assert recovery_error_bound(inp) == pytest.approx(want, rel=1e-14)
+        assert recovery_error_bound(2.0, 1, math.pi, 1.0, 16) == pytest.approx(
+            want, rel=1e-14)
 
     def test_two_segment_direct_evaluation(self):
-        inp = RecoveryBoundInput(
-            segments=2, breakpoints=np.array([0.0, 0.5, 1.0]), target=1,
-            ell=1.0, omega=math.pi / 2.0, depth=16,
-        )
         pre = 4.0 * math.exp(k_of_omega(math.pi / 2.0))
         bracket = 1.0 / math.sqrt(17.0) + 4.0 * math.exp(-16.0 * 0.25 / 16.0)
-        assert recovery_error_bound(inp) == pytest.approx(pre * bracket, rel=1e-14)
-
-    def test_probe_depth_override(self):
-        base = dict(segments=2, breakpoints=np.array([0.0, 0.5, 1.0]),
-                    target=2, ell=1.0, omega=math.pi / 2.0)
-        same = recovery_error_bound(RecoveryBoundInput(**base, depth=40,
-                                               probe_depth=16))
-        direct = recovery_error_bound(RecoveryBoundInput(**base, depth=16))
-        assert same == direct
+        assert recovery_error_bound(1.0, 2, math.pi / 2.0, 0.5, 16) == \
+            pytest.approx(pre * bracket, rel=1e-14)
 
     def test_monotone_decreasing_in_depth(self):
-        vals = [
-            recovery_error_bound(RecoveryBoundInput(
-                segments=2, breakpoints=np.array([0.0, 0.4, 1.0]), target=2,
-                ell=1.0, omega=math.pi / 2.0, depth=n))
-            for n in range(8, 200, 8)
-        ]
+        vals = [recovery_error_bound(1.0, 2, math.pi / 2.0, 1.0 - 0.4, n)
+                for n in range(8, 200, 8)]
         assert all(a > b for a, b in zip(vals, vals[1:]))
         assert vals[-1] < 0.25 * vals[0]
 
     def test_nonnegative_and_finite(self):
-        inp = RecoveryBoundInput(segments=3,
-                                breakpoints=np.array([0.0, 0.2, 0.55, 1.0]),
-                                target=2, ell=4.0, omega=1.0, depth=10)
-        b = recovery_error_bound(inp)
+        b = recovery_error_bound(4.0, 3, 1.0, 0.55 - 0.2, 10)
         assert 0.0 < b < math.inf
 
     def test_input_validation(self):
-        with pytest.raises(ValueError):
-            RecoveryBoundInput(segments=2, breakpoints=np.array([0.0, 1.0]),
-                              target=1, ell=1.0, omega=1.0, depth=5)
-        with pytest.raises(ValueError):
-            RecoveryBoundInput(segments=2,
-                              breakpoints=np.array([0.0, 0.6, 0.5]),
-                              target=1, ell=1.0, omega=1.0, depth=5)
-        with pytest.raises(ValueError):
-            RecoveryBoundInput(segments=2,
-                              breakpoints=np.array([0.0, 0.5, 1.0]),
-                              target=3, ell=1.0, omega=1.0, depth=5)
+        good = dict(ell=1.0, segments=2, omega=1.0, delta=0.5, n=5)
+        for name, value in OUT_OF_DOMAIN + [("omega", math.nan), ("n", 2.0)]:
+            with pytest.raises(ValueError):
+                recovery_error_bound(**{**good, name: value})
 
     @pytest.mark.parametrize("t", [[0.0, math.nan, 1.0], [math.nan, 0.5, 1.0],
                                    [0.0, 0.5, math.nan]])
     def test_nan_breakpoint_refused(self, t):
-        with pytest.raises(ValueError, match="breakpoints"):
-            RecoveryBoundInput(segments=2, breakpoints=np.array(t),
-                              target=1, ell=1.0, omega=1.0, depth=5)
+        # a nan breakpoint makes the width of a segment next to it nan
+        widths = np.diff(t)
+        delta = float(widths[np.isnan(widths)][0])
+        with pytest.raises(ValueError, match="delta"):
+            recovery_error_bound(1.0, 2, 1.0, delta, 5)
+        with pytest.raises(ValueError, match="delta"):
+            depth_floor(2, 1.0, delta)
 
-    def test_breakpoints_are_copied(self):
-        # a later change to the caller's array cannot undo the check
-        t = np.array([0.0, 0.5, 1.0])
-        inp = RecoveryBoundInput(segments=2, breakpoints=t, target=1,
-                                 ell=1.0, omega=1.0, depth=5)
-        t[1] = -0.5
-        assert inp.delta == 0.5 and not inp.breakpoints.flags.writeable
+    def test_product_past_float_range_is_inf(self):
+        # 4 ell e^{(M-1)K} bracket is e^{1100} or more: not representable
+        bound = recovery_error_bound(1e300, 1000, math.pi / 2.0, 0.5, 10)
+        assert bound == math.inf
+
+    def test_underflowing_bracket_in_log_space(self):
+        # D = 1 and n = 20000: the bracket 4 e^{-1250} underflows to 0 and
+        # e^{(M-1)K} = e^{766.6} overflows, but their product is representable
+        exponent = 399 * k_of_omega(math.pi / 2.0)
+        want = 4.0 * math.exp(math.log(4.0) + exponent - 20000 / 16.0)
+        got = recovery_error_bound(1.0, 400, math.pi / 2.0, 1.0, 20000)
+        assert 0.0 < want < math.inf
+        assert got == pytest.approx(want, rel=1e-12)
+
+    def test_subnormal_width_in_log_space(self):
+        # (1 - D)/D overflows for D = 1e-320, but sqrt(1/D) = 1e160 does not,
+        # and 4 ell e^K sqrt(1/D)/2 is about 1e-139
+        delta = 1e-320
+        want = 4e-300 * math.exp(k_of_omega(1.0)) / math.sqrt(delta) / 2.0
+        got = recovery_error_bound(1e-300, 2, 1.0, delta, 3)
+        assert got == pytest.approx(want, rel=1e-12)
 
 
 class TestDepthFloor:
     def test_single_segment(self):
         # M = 1 makes n1 = 4; the 2/delta term wins only for small delta
-        inp = RecoveryBoundInput(segments=1, breakpoints=np.array([0.0, 1.0]),
-                                target=1, ell=1.0, omega=math.pi, depth=5)
-        assert depth_floor(inp) == 4.0
+        assert depth_floor(1, math.pi, 1.0) == 4.0
 
     def test_growth_with_segments(self):
-        t3 = np.array([0.0, 1.0 / 3.0, 2.0 / 3.0, 1.0])
-        floors = []
-        for m, t in [(1, np.array([0.0, 1.0])),
-                     (2, np.array([0.0, 0.5, 1.0])), (3, t3)]:
-            floors.append(depth_floor(RecoveryBoundInput(
-                segments=m, breakpoints=t, target=1, ell=1.0,
-                omega=math.pi / 2.0, depth=5)))
+        floors = [depth_floor(m, math.pi / 2.0, delta)
+                  for m, delta in [(1, 1.0), (2, 0.5), (3, 1.0 / 3.0)]]
         assert floors[0] < floors[1] < floors[2]
+
+    def test_input_validation(self):
+        good = dict(segments=2, omega=1.0, delta=0.5)
+        for name, value in [(name, value) for name, value in OUT_OF_DOMAIN
+                            if name in good] + [("omega", 0.0)]:
+            with pytest.raises(ValueError):
+                depth_floor(**{**good, name: value})
 
 
 class TestResidualEnvelopeBound:
@@ -140,10 +141,63 @@ class TestResidualEnvelopeBound:
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
     def test_domain(self):
-        with pytest.raises(ValueError):
-            residual_envelope_bound(1.0, 0.0, 5)
-        with pytest.raises(ValueError):
-            residual_envelope_bound(1.0, 1.5, 5)
+        good = dict(ell=1.0, delta=0.5, n=5)
+        for name, value in [(name, value) for name, value in OUT_OF_DOMAIN
+                            if name in good]:
+            with pytest.raises(ValueError):
+                residual_envelope_bound(**{**good, name: value})
+
+    @pytest.mark.parametrize("n", [171, 500])
+    def test_past_factorial_range(self, n):
+        # n! leaves float range from n = 171; the bound is taken with lgamma
+        b = residual_envelope_bound(1.0, 0.5, n)
+        assert 0.0 <= b < math.inf
+
+    def test_large_length_in_log_space(self):
+        # ell^{n+1} = 1e402 and n! = 7.9e374 overflow; their ratio is e^62
+        n = 200
+        want = math.exp((n + 1) * math.log(100.0) - math.lgamma(n + 1)
+                        + math.log(4.0 * math.exp(-n / 16.0)))
+        got = residual_envelope_bound(100.0, 1.0, n)
+        assert 0.0 < want < math.inf
+        assert got == pytest.approx(want, rel=1e-12)
+
+    def test_underflowing_power_in_log_space(self):
+        # ell^71 = 1e-355 underflows to 0, but ell^71/70! sqrt(1/D)/sqrt(71)
+        # is about 1e-306
+        n, delta = 70, 1e-300
+        root = math.sqrt((1.0 - delta) / delta) / math.sqrt(n + 1)
+        want = math.exp((n + 1) * math.log(1e-5) - math.lgamma(n + 1)
+                        + math.log(root))
+        got = residual_envelope_bound(1e-5, delta, n)
+        assert 0.0 < want < math.inf
+        assert got == pytest.approx(want, rel=1e-12)
+
+
+class TestNoArithmeticError:
+    """Every argument either gives a bound that is not nan or raises
+    ValueError: no OverflowError, ZeroDivisionError or math domain error."""
+
+    real = st.one_of(
+        st.sampled_from([0.0, 5e-324, 1e-300, 1e-8, 0.5, 1.0, math.pi, 1e300]),
+        st.floats(),
+    )
+    count = st.one_of(st.integers(-2, 10**6), st.integers(),
+                      st.sampled_from([171, 2**53, 2**53 + 1, 10**400]))
+
+    @settings(max_examples=300, deadline=None)
+    @given(ell=real, segments=count, omega=real, delta=real, n=count)
+    def test_bounds(self, ell, segments, omega, delta, n):
+        for bound, args in [
+            (recovery_error_bound, (ell, segments, omega, delta, n)),
+            (depth_floor, (segments, omega, delta)),
+            (residual_envelope_bound, (ell, delta, n)),
+        ]:
+            try:
+                value = bound(*args)
+            except ValueError:
+                continue
+            assert value >= 0.0  # false for nan
 
 
 class TestCompareRecovery:
@@ -219,14 +273,13 @@ class TestLongKinkedPaths:
     def test_bound_in_log_space_when_representable(self):
         # e^{(M-1)K} overflows, but ell = 1e-300 brings the product back into
         # float range; split e^{(M-1)K} = e^{(M-1)K - 100} e^100 to check it
-        inp = RecoveryBoundInput(segments=400, breakpoints=np.linspace(0, 1, 401),
-                                 target=400, ell=1e-300, omega=math.pi / 2.0,
-                                 depth=10)
+        t = np.linspace(0, 1, 401)
+        delta = float(t[400] - t[399])
         exponent = 399 * k_of_omega(math.pi / 2.0)
         assert exponent > math.log(sys.float_info.max)
-        delta = inp.delta
         bracket = (math.sqrt((1.0 - delta) / delta) / math.sqrt(11.0)
                    + 4.0 * math.exp(-10.0 * delta**2 / 16.0))
         want = 4e-300 * math.exp(100.0) * math.exp(exponent - 100.0) * bracket
         assert math.isfinite(want)
-        assert recovery_error_bound(inp) == pytest.approx(want, rel=1e-12)
+        assert recovery_error_bound(1e-300, 400, math.pi / 2.0, delta, 10) == \
+            pytest.approx(want, rel=1e-12)

@@ -17,6 +17,7 @@ from siginvert import (
     segment_geometry,
     segment_transport,
 )
+from siginvert import development
 
 from conftest import random_path, turning_unit_path, unit_speed_two_segment
 from oracles import (
@@ -148,6 +149,17 @@ class TestKOfOmega:
         vals = [k_of_omega(w) for w in grid]
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
+    @pytest.mark.parametrize("omega", [1e-8, 2.107e-8, 1e-300])
+    def test_small_angle(self, omega):
+        # K = log(16 / omega^2) up to omega^2/48; 1 - cos(omega/2) cancels
+        # here, and was 0 (a ZeroDivisionError) at omega = 1e-8
+        want = math.log(16.0) - 2.0 * math.log(omega)
+        assert k_of_omega(omega) == pytest.approx(want, rel=1e-15)
+
+    def test_subnormal_angle_is_finite(self):
+        assert k_of_omega(5e-324) == pytest.approx(
+            math.log(16.0) - 2.0 * math.log(5e-324), rel=1e-15)
+
     def test_domain(self):
         with pytest.raises(ValueError):
             k_of_omega(0.0)
@@ -191,6 +203,14 @@ class TestNormLowerBound:
         p = unit_speed_two_segment(0.5, math.pi / 2.0)
         with pytest.raises(AssumptionViolation):
             norm_lower_bound_check(p, alpha=0.5)
+
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
+    def test_non_finite_alpha_refused(self, alpha, monkeypatch):
+        # nan passed both alpha checks and ended in an SVD that did not converge
+        monkeypatch.setattr(development, "develop", None)  # never reached
+        p = unit_speed_two_segment(0.5, math.pi / 2.0)
+        with pytest.raises(ValueError, match="alpha=.* is not finite"):
+            norm_lower_bound_check(p, alpha=alpha)
 
     def test_backtracking_path_rejected(self):
         p = PiecewiseLinearPath([[0.0, 0.0], [0.75, 0.0], [0.5, 0.0]],

@@ -252,6 +252,25 @@ class TestPathCsv:
         with pytest.raises(InputFormatError, match="non-finite"):
             read_paths_csv(io.StringIO(text))
 
+    @pytest.mark.parametrize("text", ["0,0\n1,0\n1,1\n",
+                                      "id,x1,x2\na,0,0\na,1,0\na,1,1\n"])
+    def test_byte_order_mark_is_dropped(self, tmp_path, capsys, text):
+        # with the mark, the first row of the headerless file read as a
+        # header, and the header's id column was not recognised
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_bytes(text.encode())
+        marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        [(pid, want)] = read_paths_csv(str(plain))
+        [(marked_pid, got)] = read_paths_csv(str(marked))
+        assert marked_pid == pid
+        np.testing.assert_array_equal(got.points, want.points)
+        np.testing.assert_array_equal(got.times, want.times)
+        outputs = []
+        for f in (plain, marked):
+            assert main(["sign", str(f), "--depth", "1"]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+
     def test_header_needs_dim_without_records(self):
         buf = io.StringIO()
         write_paths_csv(buf, [], errors={"bad": "went wrong"}, dim=3)

@@ -379,6 +379,12 @@ class TestPathChecks:
         with pytest.raises(ValueError, match="finite and strictly increasing"):
             PiecewiseLinearPath([[0.0], [1.0], [2.0]], times)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_point_refused(self, bad):
+        # a nan point gave an "overflows float64" error when signed
+        with pytest.raises(ValueError, match="non-finite point"):
+            PiecewiseLinearPath([[0.0, 0.0], [bad, 1.0]])
+
 
 class TestSegmentLengths:
     def test_equal_plain_norm_bitwise(self, rng):
