@@ -1,6 +1,8 @@
 """Truncated path signatures, insertion-method inversion, and the
 hyperbolic-development checks behind the method's guarantees."""
 
+import types as _types
+
 from .bounds import (
     ErrorComparison,
     compare_recovery,
@@ -56,4 +58,7 @@ def active_backend() -> str:
     return "numpy"
 
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the API, not the submodules that importing it binds here
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_")
+                 and not isinstance(value, _types.ModuleType))

@@ -12,7 +12,6 @@ import contextlib
 import csv
 import dataclasses
 import json
-import math
 import sys
 
 import numpy as np
@@ -30,9 +29,7 @@ from .signature import (
     PiecewiseLinearPath,
     _segment_lengths,
     batch_signature,
-    constant_speed_reparam,
     path_signature,
-    segment_geometry,
 )
 from .tensor_algebra import get_allocation_cap, set_allocation_cap
 
@@ -91,13 +88,7 @@ def _output(args):
         yield fh
 
 
-def _require_at_least(flag: str, value: int, least: int) -> None:
-    if value < least:
-        raise InputFormatError(f"{flag} must be >= {least}, got {value}")
-
-
 def cmd_sign(args) -> int:
-    _require_at_least("--depth", args.depth, 0)
     records = fileio.read_paths_csv(args.input)
     sigs = batch_signature([p for _, p in records], args.depth)
     with _output(args) as out:
@@ -129,13 +120,10 @@ def cmd_invert(args) -> int:
     dim = sigs[0][1].dim
     start = _parse_start(args.start, dim)
     ok_records, errors = [], {}
-    # per-record failures become error rows; other records are unaffected
+    # per-record failures, a dim other than the first record's among them,
+    # become error rows; other records are unaffected
     for pid, sig in sigs:
         try:
-            if sig.dim != dim:
-                raise ValueError(
-                    f"record dim {sig.dim} differs from batch dim {dim}"
-                )
             ok_records.append((pid, invert_signature(sig, start=start).path))
         except (NormTooSmall, ValueError) as exc:
             errors[pid] = str(exc)
@@ -156,8 +144,6 @@ def _parse_depths(raw: str) -> list[int]:
 
 def cmd_roundtrip(args) -> int:
     depths = _parse_depths(args.depths)
-    for depth in depths:
-        _require_at_least("each --depths entry", depth, 2)
     paths = fileio.read_paths_csv(args.input)
     # every row is computed before the output opens, so a failure writes nothing
     rows = [[pid, depth, *map(fileio.format_float, roundtrip_errors(path, depth))]
@@ -170,7 +156,6 @@ def cmd_roundtrip(args) -> int:
 
 
 def cmd_trend(args) -> int:
-    _require_at_least("--depth", args.depth, 2)
     paths = fileio.read_paths_csv(args.input)
     if len(paths) != 1:
         raise InputFormatError("trend estimation expects a single path")
@@ -182,33 +167,11 @@ def cmd_trend(args) -> int:
     return EXIT_OK
 
 
-def normalize_unit_length(path: PiecewiseLinearPath) -> PiecewiseLinearPath:
-    """Constant-speed reparameterization, translation to start at the
-    origin (far points would overflow) and scaling to total variation 1.
-
-    A path that cannot be reparameterized, or whose length float64 cannot
-    scale to 1, is an AssumptionViolation.
-    """
-    try:
-        path = constant_speed_reparam(path)
-    except ValueError as exc:
-        raise AssumptionViolation(f"cannot reparameterize: {exc}") from exc
-    ell = segment_geometry(path).total_variation
-    if 1.0 / ell == math.inf:
-        raise AssumptionViolation(
-            f"a path of length {ell} cannot be scaled to length 1 in float64"
-        )
-    return path.translated(-path.points[0]).scaled(1.0 / ell)
-
-
 def cmd_develop(args) -> int:
-    if args.alpha is not None and not math.isfinite(args.alpha):
-        raise InputFormatError(f"--alpha must be finite, got {args.alpha}")
     paths = fileio.read_paths_csv(args.input)
     if len(paths) != 1:
         raise InputFormatError("develop expects a single path")
-    report = norm_lower_bound_check(normalize_unit_length(paths[0][1]),
-                                    args.alpha)
+    report = norm_lower_bound_check(paths[0][1], args.alpha)
     with _output(args) as out:
         json.dump(dataclasses.asdict(report), out, indent=2)
         out.write("\n")
@@ -269,10 +232,10 @@ def main(argv=None) -> int:
     previous_cap = get_allocation_cap()
     try:
         if args.max_coeffs is not None:
-            _require_at_least("--max-coeffs", args.max_coeffs, 1)
             set_allocation_cap(args.max_coeffs)
         return args.func(args)
-    except (InputFormatError, OSError) as exc:
+    # the library refuses a bad argument value with ValueError
+    except (InputFormatError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (NormTooSmall, AllocationCapError) as exc:

@@ -25,6 +25,7 @@ import numpy as np
 from .errors import AssumptionViolation
 from .signature import (
     PiecewiseLinearPath,
+    _segment_lengths,
     merge_degenerate,
     require_clean_angles,
     segment_geometry,
@@ -99,23 +100,31 @@ class BoundReport:
 
 def norm_lower_bound_check(path: PiecewiseLinearPath,
                            alpha: float | None = None) -> BoundReport:
-    """Evaluate exp(alpha - (M-1) K(omega)) <= ||Gamma_1^alpha||.
+    """Evaluate exp(alpha - (M-1) K(omega)) <= ||Gamma_1^alpha|| for the
+    path rescaled to total variation 1.
 
-    The path must have total variation 1 (normalize with
-    constant_speed_reparam and scaling first) and clean angles; alpha must
-    exceed K(omega)/D where D is the shortest segment length, so that every
-    developed geodesic segment is longer than K(omega).  The default alpha
-    is 2 K(omega)/D.  An alpha above 700, or 2 (M-1) K(omega) above 700,
+    The path may have any length and position: it is translated to start
+    at the origin and scaled by 1/ell, ell its total variation, before its
+    geometry is read; a length of 0, or one whose reciprocal float64 cannot
+    hold, is an AssumptionViolation.  The rescaled path must have clean
+    angles, and alpha must exceed K(omega)/D where D is its shortest
+    segment length, so that every developed geodesic segment is longer
+    than K(omega).  The default alpha is 2 K(omega)/D.  A non-finite alpha
+    raises ValueError; an alpha above 700, or 2 (M-1) K(omega) above 700,
     would overflow float64 and is refused.
     """
     if alpha is not None and not math.isfinite(alpha):
         raise ValueError(f"alpha={alpha} is not finite")
-    geom = segment_geometry(path)
-    if abs(geom.total_variation - 1.0) > 1e-8:
-        raise ValueError(
-            f"path must be normalized to total variation 1, got "
-            f"{geom.total_variation}"
+    with np.errstate(over="ignore"):  # a length past float64 is inf
+        lengths = _segment_lengths(np.diff(path.points, axis=0))
+        ell = float(lengths[lengths > 0].sum())
+    if not (ell > 0.0 and 0.0 < 1.0 / ell < math.inf):
+        raise AssumptionViolation(
+            f"a path of length {ell} cannot be scaled to length 1 in float64"
         )
+    path = PiecewiseLinearPath((path.points - path.points[0]) * (1.0 / ell),
+                               path.times)
+    geom = segment_geometry(path)
     require_clean_angles(geom)
     m = len(geom.lengths)
     omega = geom.min_angle

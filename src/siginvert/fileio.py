@@ -73,8 +73,8 @@ def read_paths_csv(stream) -> list[tuple[str, PiecewiseLinearPath]]:
     if not coord_cols:
         raise InputFormatError("no coordinate columns in CSV file")
 
+    # a dict keeps the ids in order of first appearance
     groups: dict[str, list[tuple[float | None, list[float]]]] = {}
-    order: list[str] = []
     for line_no, r in enumerate(rows, start=1):
         if err_col is not None and r[err_col].strip():
             continue  # failure marker row, carries no point data
@@ -87,16 +87,12 @@ def read_paths_csv(stream) -> list[tuple[str, PiecewiseLinearPath]]:
                 t is not None and not math.isfinite(t)):
             raise InputFormatError(f"non-finite value in CSV row {line_no}")
         pid = r[id_col].strip() if id_col is not None else "0"
-        if pid not in groups:
-            groups[pid] = []
-            order.append(pid)
-        groups[pid].append((t, coords))
-    if not order:
+        groups.setdefault(pid, []).append((t, coords))
+    if not groups:
         raise InputFormatError("no points: every CSV row is an error marker")
 
     out = []
-    for pid in order:
-        recs = groups[pid]
+    for pid, recs in groups.items():
         pts = np.array([c for _, c in recs])
         times = np.array([t for t, _ in recs]) if t_col is not None else None
         try:

@@ -131,7 +131,6 @@ class InversionResult:
 
     path: PiecewiseLinearPath
     slopes: np.ndarray       # (n, d) solved slopes y*_{p,n}
-    start_point: np.ndarray
 
 
 def invert_signature(sig: TruncatedSignature, start=None) -> InversionResult:
@@ -140,19 +139,21 @@ def invert_signature(sig: TruncatedSignature, start=None) -> InversionResult:
     For p = 1..n the slope is y* = n * A_p^T X^n / norm(X^{n-1})**2 and the
     points accumulate as X_{p/n} = X_{(p-1)/n} + y*/n.  The starting point
     is unrecoverable from the signature and defaults to the origin; a
-    start that is not finite raises ValueError.
+    start that is not a finite point of R^d raises ValueError, as does a
+    depth below 2.
     """
     n, d = sig.depth, sig.dim
     if n < 2:
-        raise ValueError("inversion needs a signature of depth >= 2")
+        raise ValueError(f"inversion needs a signature of depth >= 2, got {n}")
     start = np.zeros(d) if start is None else np.asarray(start, dtype=np.float64)
     if start.shape != (d,):
-        raise ValueError(f"start point must live in R^{d}")
+        raise ValueError(f"a start point of shape {start.shape} does not fit "
+                         f"a signature over R^{d}")
     if not np.isfinite(start).all():
         raise ValueError(f"start point {start.tolist()} is not finite")
     slopes, points = _solve(sig.level(n - 1), sig.level(n), n - 1,
                             range(1, n + 1), start)
-    return InversionResult(PiecewiseLinearPath(points), slopes, start.copy())
+    return InversionResult(PiecewiseLinearPath(points), slopes)
 
 
 def batch_invert(sigs, starts=None) -> list[InversionResult]:

@@ -37,7 +37,8 @@ class PiecewiseLinearPath:
     times: np.ndarray | None = None
 
     def __post_init__(self):
-        pts = np.atleast_2d(np.asarray(self.points, dtype=np.float64))
+        # copies, so the read-only flag below never lands on the caller's array
+        pts = np.atleast_2d(np.array(self.points, dtype=np.float64))
         if pts.ndim != 2 or pts.shape[0] < 2:
             raise ValueError("fewer than 2 points in R^d")
         if not np.isfinite(pts).all():
@@ -48,7 +49,7 @@ class PiecewiseLinearPath:
         if self.times is None:
             t = np.linspace(0.0, 1.0, m + 1)
         else:
-            t = np.asarray(self.times, dtype=np.float64)
+            t = np.array(self.times, dtype=np.float64)
             if t.shape != (m + 1,):
                 raise ValueError("times must have one entry per point")
             # nan fails every comparison, and finite ends bound the rest
@@ -247,7 +248,7 @@ def batch_signature(paths, depth: int) -> list[TruncatedSignature]:
     ValueError.
     """
     if depth < 0:
-        raise ValueError("depth must be >= 0")
+        raise ValueError(f"depth must be >= 0, got {depth}")
     paths = list(paths)
     if not paths:
         return []

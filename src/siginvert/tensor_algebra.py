@@ -22,7 +22,7 @@ def set_allocation_cap(n: int) -> None:
     """Set the global cap on the number of coefficients in one tensor."""
     global _max_coeffs
     if n < 1:
-        raise ValueError("allocation cap must be positive")
+        raise ValueError(f"allocation cap must be positive, got {n}")
     _max_coeffs = int(n)
 
 

@@ -12,6 +12,7 @@ from siginvert import (
     develop_checkpoints,
     f_map,
     k_of_omega,
+    merge_degenerate,
     norm_lower_bound_check,
     path_signature,
     segment_geometry,
@@ -194,10 +195,55 @@ class TestNormLowerBound:
             rep = norm_lower_bound_check(p, alpha=alpha)
             assert rep.satisfied
 
-    def test_requires_unit_total_variation(self):
-        p = PiecewiseLinearPath([[0.0, 0.0], [2.0, 0.0]])
-        with pytest.raises(ValueError):
-            norm_lower_bound_check(p, alpha=3.0)
+    @pytest.mark.parametrize("a", [1e-3, 1.0, 1e3])
+    def test_scale_and_position_invariant(self, rng, a):
+        # the check reads the path rescaled to length 1 from its start, so
+        # a X + b reports what X reports, up to the rounding of a X + b
+        paths = [unit_speed_two_segment(0.5, math.pi / 2.0)] + [
+            turning_unit_path(rng, m, math.pi / 4.0, 3.0 * math.pi / 4.0)
+            for m in (1, 2, 3, 5)]
+        for x in paths:
+            for alpha in (None, 1.25 * norm_lower_bound_check(x).alpha):
+                want = norm_lower_bound_check(x, alpha)
+                for b in (np.zeros(2), a * np.array([0.75, -2.0])):
+                    got = norm_lower_bound_check(x.scaled(a).translated(b), alpha)
+                    assert (got.segments, got.satisfied) == (want.segments,
+                                                             want.satisfied)
+                    for name in ("omega", "K_omega", "n1", "alpha", "lhs", "rhs",
+                                 "shortest_segment"):
+                        assert getattr(got, name) == pytest.approx(
+                            getattr(want, name), rel=1e-12), name
+
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+    def test_develops_the_path_normalized_by_hand(self, rng, monkeypatch, scale):
+        # bit for bit the path reparameterized to constant speed (repeated
+        # points merged), moved to start at the origin and scaled to length
+        # 1; the repeated points add no zero length, which would regroup
+        # numpy's pairwise sum
+        pts = scale * turning_unit_path(rng, 16, math.pi / 4.0,
+                                        3.0 * math.pi / 4.0).points + [3.0, -2.0]
+        pts = np.insert(pts, [1, 5, 9], pts[[1, 5, 9]], axis=0)
+        seen = []
+        monkeypatch.setattr(development, "segment_geometry",
+                            lambda path: seen.append(path) or segment_geometry(path))
+        norm_lower_bound_check(PiecewiseLinearPath(pts))
+        unit = constant_speed_reparam(PiecewiseLinearPath(pts))
+        unit = unit.translated(-unit.points[0]).scaled(
+            1.0 / segment_geometry(unit).total_variation)
+        [path] = seen
+        assert merge_degenerate(path).points.tobytes() == unit.points.tobytes()
+
+    @pytest.mark.parametrize("points", [
+        [[1.0, 2.0], [1.0, 2.0]],
+        [[0.0, 0.0], [5e-324, 0.0]],
+        [[0.0, 0.0], [1e308, 0.0], [1e308, 1e308]],
+        [[-1.7e308, 0.0], [1.7e308, 0.0]],
+    ], ids=["constant", "subnormal-length", "length-past-float64",
+            "step-past-float64"])
+    def test_length_that_cannot_be_scaled_to_one(self, points):
+        # 1/ell is inf for a subnormal ell, and ell is inf past float64
+        with pytest.raises(AssumptionViolation, match="cannot be scaled"):
+            norm_lower_bound_check(PiecewiseLinearPath(points))
 
     def test_small_alpha_rejected(self):
         p = unit_speed_two_segment(0.5, math.pi / 2.0)

@@ -21,7 +21,6 @@ from siginvert import (
 from siginvert import fileio
 from siginvert.cli import (
     main,
-    normalize_unit_length,
     resample_arclength,
     roundtrip_errors,
 )
@@ -391,6 +390,19 @@ class TestSignInvertCli:
         error_rows = [r for r in rows[1:] if r[-1]]
         assert len(error_rows) == 1 and error_rows[0][0] == "zero"
 
+    def test_record_of_another_dim_becomes_error_row(self, tmp_path, capsys):
+        # the start point lives in the first record's R^2
+        flat = linear_signature(np.array([1.0, 0.5]), 1.0, 3)
+        wide = linear_signature(np.array([1.0, 0.5, 2.0]), 1.0, 3)
+        f = tmp_path / "sigs.json"
+        f.write_text(dumps_signatures([("flat", flat), ("wide", wide)]))
+        assert main(["invert", str(f)]) == 0
+        out = capsys.readouterr()
+        assert out.err == ""
+        rows = list(csv.DictReader(io.StringIO(out.out)))
+        assert [r["id"] for r in rows] == ["flat"] * 4 + ["wide"]
+        assert rows[-1]["error"] == ("a start point of shape (2,) does not fit "
+                                     "a signature over R^3")
 
     def test_every_record_failing_keeps_batch_header(self, tmp_path, capsys):
         zero = {"dim": 2, "depth": 3,
@@ -536,15 +548,6 @@ class TestDevelopCli:
         rep = json.loads(capsys.readouterr().out)
         assert rep["segments"] == 1 and rep["satisfied"] is True
         assert all(math.isfinite(v) for v in (rep["lhs"], rep["rhs"], rep["alpha"]))
-
-    def test_path_from_origin_normalizes_as_before(self, rng):
-        # translating by -0.0 keeps every bit of a path that starts at (0, 0)
-        path = PiecewiseLinearPath(np.vstack([[0.0, 0.0], rng.normal(size=(6, 2))]))
-        path = constant_speed_reparam(path)
-        ell = segment_geometry(path).total_variation
-        got = normalize_unit_length(path)
-        assert got.points.tobytes() == path.scaled(1.0 / ell).points.tobytes()
-        assert got.times.tobytes() == path.times.tobytes()
 
 
 class TestExitCodes:

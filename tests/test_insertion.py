@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -219,6 +220,16 @@ class TestInvertSignature:
             invert_signature(sig, start=start)
         with pytest.raises(ValueError, match="is not finite"):
             batch_invert([sig, sig], [[0.0, 0.0], start])
+
+    @pytest.mark.parametrize("start", [[0.0, 0.0, 0.0], [[0.0, 0.0]]],
+                             ids=["R3", "row"])
+    def test_start_of_another_shape_refused(self, rng, start):
+        # the message names the start's shape and the signature's space
+        sig = path_signature(random_path(rng, 3, 2), 4)
+        want = f"a start point of shape {np.shape(start)} does not fit a " \
+            "signature over R^2"
+        with pytest.raises(ValueError, match=re.escape(want)):
+            invert_signature(sig, start=start)
 
     def test_depth_below_two_rejected(self):
         sig = linear_signature(np.array([1.0, 0.0]), 1.0, 1)

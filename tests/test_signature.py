@@ -347,6 +347,38 @@ class TestBatchSignature:
             batch_signature([], -1)
 
 
+def assert_levels_equal(low, high):
+    """Levels 0..low.depth of ``low`` are bitwise those of ``high``."""
+    for k in range(low.depth + 1):
+        assert low.level(k).tobytes() == high.level(k).tobytes(), k
+
+
+class TestTruncationConsistency:
+    """Level k of the depth-n signature is bitwise level k of the depth-m
+    signature for every k <= n <= m: no deeper level feeds a lower one."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("segments", [1, 3, 7])
+    def test_lower_levels_ignore_the_depth(self, rng, dim, segments):
+        for scale in (1e-2, 1.0, 1e2):
+            path = irregular_path(rng, segments, dim, scale)
+            deepest = path_signature(path, 8)
+            for n in range(8):
+                assert_levels_equal(path_signature(path, n), deepest)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_across_chunks(self, rng, monkeypatch, dim):
+        # chunks of 3 paths at depth 8 and of more at lower depths, so the
+        # chunk boundaries move with the depth
+        paths = [irregular_path(rng, m, dim, 1.0) for m in [1, 3, 7] * 7]
+        monkeypatch.setattr(signature, "_BATCH_SCRATCH",
+                            3 * signature._scratch_size(dim, 8))
+        deepest = batch_signature(paths, 8)
+        for n in range(8):
+            for low, high in zip(batch_signature(paths, n), deepest):
+                assert_levels_equal(low, high)
+
+
 class TestRiemannOracle:
     def test_level_one_displacement(self):
         p = PiecewiseLinearPath([[0.0, 0.0], [2.0, -1.0]])
@@ -384,6 +416,20 @@ class TestPathChecks:
         # a nan point gave an "overflows float64" error when signed
         with pytest.raises(ValueError, match="non-finite point"):
             PiecewiseLinearPath([[0.0, 0.0], [bad, 1.0]])
+
+    def test_caller_points_stay_writeable(self):
+        points = np.zeros((3, 2))
+        path = PiecewiseLinearPath(points)
+        assert points.flags.writeable and not path.points.flags.writeable
+        points[1] = 1.0
+        assert not path.points.any()
+
+    def test_caller_times_stay_writeable(self):
+        times = np.array([0.0, 0.5, 1.0])
+        path = PiecewiseLinearPath(np.zeros((3, 2)), times)
+        assert times.flags.writeable and not path.times.flags.writeable
+        times[1] = 0.25
+        assert path.times[1] == 0.5
 
 
 class TestSegmentLengths:
