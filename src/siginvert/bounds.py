@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from numbers import Integral
 
 import numpy as np
 
@@ -17,6 +16,7 @@ from .signature import (
     require_clean_angles,
     segment_geometry,
 )
+from .tensor_algebra import check_count
 
 
 def _check(delta, *, ell=1.0, segments=1, n=0) -> None:
@@ -26,10 +26,8 @@ def _check(delta, *, ell=1.0, segments=1, n=0) -> None:
         raise ValueError(f"delta must lie in (0, 1], got {delta}")
     if not 0.0 < ell < math.inf:
         raise ValueError(f"ell must be finite and > 0, got {ell}")
-    for name, value, low in (("segments", segments, 1), ("n", n, 0)):
-        if not (isinstance(value, Integral) and low <= value <= 2**53):
-            raise ValueError(
-                f"{name} must be an integer in [{low}, 2**53], got {value!r}")
+    check_count("segments", segments, 1)
+    check_count("n", n)
 
 
 def _bracket(delta: float, n: int) -> tuple[float, float]:
@@ -63,6 +61,7 @@ def _finite_or_log(direct, log: float) -> float:
 
 def probe_slot(t_prev: float, t_i: float, n: int) -> int:
     """The slot p = floor((3 t_i + t_{i-1})(n+1) / 4), clamped to 1..n+1."""
+    n = check_count("n", n)
     p = math.floor((3.0 * t_i + t_prev) * (n + 1) / 4.0)
     return min(max(p, 1), n + 1)
 

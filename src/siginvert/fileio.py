@@ -139,9 +139,8 @@ def record_to_signature(rec: dict) -> TruncatedSignature:
         dim, depth, levels = rec["dim"], rec["depth"], rec["levels"]
     except (KeyError, TypeError) as exc:
         raise InputFormatError("signature record needs dim/depth/levels") from exc
-    for key, value in (("dim", dim), ("depth", depth)):
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise InputFormatError(f"signature record {key} must be an integer")
+    if not isinstance(depth, int) or isinstance(depth, bool):
+        raise InputFormatError("signature record depth must be an integer")
     if not isinstance(levels, list):
         raise InputFormatError("signature record levels must be a list")
     if len(levels) != depth + 1:

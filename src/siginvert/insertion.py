@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import NormTooSmall
 from .signature import PiecewiseLinearPath
-from .tensor_algebra import TruncatedSignature
+from .tensor_algebra import TruncatedSignature, check_count
 
 # Degeneracy threshold for the norm of the level being divided by.
 # Genuine signatures decay like ell^n / n! (about 8e-18 for a unit-length
@@ -34,8 +34,7 @@ EPS_NORM = 1e-18
 
 
 def _check_slot(n: int, p: int) -> None:
-    if not 1 <= p <= n + 1:
-        raise ValueError(f"slot p={p} outside 1..{n + 1}")
+    check_count("slot p", p, 1, check_count("n", n) + 1)
 
 
 # Longest tail that _adjoint_slot contracts by the BLAS product.  Timed at
@@ -65,12 +64,13 @@ def _adjoint_slot(sig: np.ndarray, z: np.ndarray, d: int, p: int) -> np.ndarray:
 
 
 def _check_pair(below: np.ndarray, top: np.ndarray, n: int, p: int) -> int:
-    """d of levels of degrees n and n + 1 over R^d, with the slot checked."""
+    """d of levels of degrees n and n + 1 over R^d; the slot, n included,
+    is checked first, so d**n is taken of a checked n."""
+    _check_slot(n, p)
     d = top.size // below.size if below.size else 0
     if d < 1 or below.size != d**n or top.size != d * below.size:
         raise ValueError(f"need levels of degrees {n} and {n + 1} over one "
                          f"R^d, got {below.size} and {top.size} coefficients")
-    _check_slot(n, p)
     return d
 
 
@@ -157,21 +157,12 @@ def invert_signature(sig: TruncatedSignature, start=None) -> InversionResult:
 
 
 def batch_invert(sigs, starts=None) -> list[InversionResult]:
-    """Invert N signatures sharing (d, n); output order follows input order.
+    """Invert N signatures of any (d, n); output order follows input order.
 
     Results are elementwise identical to a loop of :func:`invert_signature`.
     """
     sigs = list(sigs)
-    if not sigs:
-        return []
-    d, n = sigs[0].dim, sigs[0].depth
-    for s in sigs:
-        if s.dim != d or s.depth != n:
-            raise ValueError("batch signatures must share dim and depth")
-    if starts is None:
-        starts = [None] * len(sigs)
-    else:
-        starts = list(starts)
-        if len(starts) != len(sigs):
-            raise ValueError("need one start point per signature")
+    starts = [None] * len(sigs) if starts is None else list(starts)
+    if len(starts) != len(sigs):
+        raise ValueError("need one start point per signature")
     return [invert_signature(s, x0) for s, x0 in zip(sigs, starts)]

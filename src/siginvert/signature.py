@@ -18,9 +18,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AllocationCapError, AssumptionViolation
-from .tensor_algebra import TruncatedSignature, check_allocation, get_allocation_cap
+from .tensor_algebra import (TruncatedSignature, check_allocation, check_count,
+                             get_allocation_cap)
 
-# Angles within this tolerance of 0 or pi raise the assumption flags.
+# Angles within this tolerance of 0 or pi fail require_clean_angles.
 ANGLE_TOL = 1e-9
 
 
@@ -87,7 +88,7 @@ def merge_degenerate(path: PiecewiseLinearPath) -> PiecewiseLinearPath:
 
 @dataclass(frozen=True)
 class SegmentGeometry:
-    """Slopes, lengths, kink angles and assumption flags of a path.
+    """Slopes, lengths and kink angles of a path.
 
     Angles follow the vertex convention: omega_i is the angle at breakpoint
     i between the rays back along the incoming segment and forward along
@@ -101,8 +102,6 @@ class SegmentGeometry:
     total_variation: float      # ell
     angles: np.ndarray          # (M-1,) vertex angles omega_i in [0, pi]
     min_angle: float            # min_i omega_i; pi when M == 1
-    non_minimal_partition: bool  # some omega_i == pi (collinear pieces)
-    tree_like_backtrack: bool    # some omega_i == 0 (path retraces itself)
 
 
 def _segment_lengths(disp: np.ndarray) -> np.ndarray:
@@ -142,19 +141,17 @@ def segment_geometry(path: PiecewiseLinearPath) -> SegmentGeometry:
         total_variation=float(lengths.sum()),
         angles=angles,
         min_angle=min_angle,
-        non_minimal_partition=bool(np.any(angles > math.pi - ANGLE_TOL)),
-        tree_like_backtrack=bool(np.any(angles < ANGLE_TOL)),
     )
 
 
 def require_clean_angles(geom: SegmentGeometry) -> None:
     """Raise when the minimal-partition / reduced-path assumption fails."""
-    if geom.non_minimal_partition:
+    if np.any(geom.angles > math.pi - ANGLE_TOL):
         raise AssumptionViolation(
             "consecutive collinear segments (vertex angle pi): "
             "partition not minimal"
         )
-    if geom.tree_like_backtrack:
+    if np.any(geom.angles < ANGLE_TOL):
         raise AssumptionViolation(
             "exact backtracking segment (vertex angle 0): path is not reduced"
         )
@@ -247,8 +244,7 @@ def batch_signature(paths, depth: int) -> list[TruncatedSignature]:
     cap raises AllocationCapError.  Paths of different dimensions raise
     ValueError.
     """
-    if depth < 0:
-        raise ValueError(f"depth must be >= 0, got {depth}")
+    depth = check_count("depth", depth)
     paths = list(paths)
     if not paths:
         return []

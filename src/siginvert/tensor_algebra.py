@@ -7,7 +7,9 @@ the offset sum_j (i_j - 1) * d**(k-j).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
@@ -21,9 +23,7 @@ _max_coeffs = DEFAULT_MAX_COEFFS
 def set_allocation_cap(n: int) -> None:
     """Set the global cap on the number of coefficients in one tensor."""
     global _max_coeffs
-    if n < 1:
-        raise ValueError(f"allocation cap must be positive, got {n}")
-    _max_coeffs = int(n)
+    _max_coeffs = check_count("allocation cap", n, 1)
 
 
 def get_allocation_cap() -> int:
@@ -40,35 +40,47 @@ def check_allocation(dim: int, degree: int) -> None:
         )
 
 
+def check_count(name: str, value, low: int = 0, high: int = 2**53) -> int:
+    """The one check of a count argument: an integer that is not a bool
+    (numpy integers included) in [low, high], returned as a Python int.
+    Anything else raises ValueError naming the argument and the value."""
+    if (isinstance(value, Integral) and not isinstance(value, bool)
+            and low <= value <= high):
+        return int(value)
+    top = "2**53" if high == 2**53 else high
+    raise ValueError(f"{name} must be an integer in [{low}, {top}], got {value!r}")
+
+
 @dataclass(frozen=True, eq=False)
 class TruncatedSignature:
     """Levels 0..depth over R^dim; level k is a flat, read-only float64
     array of dim**k finite coefficients.  The one check of a signature:
-    each level is copied to float64, then checked against the allocation
-    cap, its size and finiteness, in level order; last, dim itself against
-    the cap, so a depth-0 signature cannot claim any dim.  Equality is
-    identity."""
+    dim is a count >= 1 (``check_count``; the cap is its ceiling), kept as
+    an int; each level is copied to float64, then checked against the
+    allocation cap, its shape and finiteness, in level order; last, dim
+    itself against the cap, so a depth-0 signature cannot claim any dim.
+    Equality is identity."""
 
     dim: int
     levels: tuple[np.ndarray, ...] = field(repr=False)
 
     def __post_init__(self):
-        if self.dim < 1 or not len(self.levels):
-            raise ValueError("need dim >= 1 and at least level 0")
+        dim = check_count("dim", self.dim, 1, math.inf)
+        if not len(self.levels):
+            raise ValueError("need at least level 0")
         levels = []
         for k, lvl in enumerate(self.levels):
             c = np.array(lvl, dtype=np.float64)
-            check_allocation(self.dim, k)
-            if c.shape != (self.dim**k,):
-                raise ValueError(
-                    f"degree-{k} tensor over R^{self.dim} needs "
-                    f"{self.dim ** k} coefficients, got {c.size}"
-                )
+            check_allocation(dim, k)
+            if c.shape != (dim**k,):
+                raise ValueError(f"a degree-{k} tensor over R^{dim} needs "
+                                 f"shape ({dim**k},), got {c.shape}")
             if not np.isfinite(c).all():
                 raise ValueError(f"level {k} has a non-finite entry")
             c.setflags(write=False)
             levels.append(c)
-        check_allocation(self.dim, 1)
+        check_allocation(dim, 1)
+        object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "levels", tuple(levels))
 
     @property

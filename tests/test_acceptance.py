@@ -177,7 +177,7 @@ def test_08_performance(rng, capsys):
         # batch of 50 depth-10 planar signatures inverts in under a second
         sigs = [path_signature(random_path(rng, 10, 2), 10)
                 for _ in range(50)]
-        batch_invert(sigs[:1])  # warmup (JIT compilation, caches)
+        batch_invert(sigs[:1])  # warm-up (caches)
         t0 = time.perf_counter()
         batch_invert(sigs)
         assert time.perf_counter() - t0 < 1.0

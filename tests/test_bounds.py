@@ -219,6 +219,11 @@ class TestCompareRecovery:
         mean = [float(np.mean(by_depth[n])) for n in (8, 12, 16)]
         assert mean[0] > mean[1] > mean[2]
 
+    def test_negative_depth_names_n(self):
+        p = unit_speed_two_segment(0.4, math.pi / 2.0)
+        with pytest.raises(ValueError, match="^n must be an integer"):
+            compare_recovery(p, [-1])
+
     def test_rows_are_well_formed(self):
         p = unit_speed_two_segment(0.4, math.pi / 2.0)
         rows = compare_recovery(p, [10])

@@ -310,11 +310,13 @@ class TestBatchInvert:
             np.testing.assert_array_equal(a.path.points, b.path.points)
             np.testing.assert_array_equal(a.slopes, b.slopes)
 
-    def test_rejects_mixed_shapes(self, rng):
-        a = path_signature(random_path(rng, 3, 2), 6)
-        b = path_signature(random_path(rng, 3, 3), 6)
-        with pytest.raises(ValueError):
-            batch_invert([a, b])
+    def test_mixed_shapes_match_loop(self, rng):
+        sigs = [path_signature(random_path(rng, 3, d), n)
+                for d, n in [(2, 6), (3, 4), (2, 6), (3, 4)]]
+        loop = [invert_signature(s) for s in sigs]
+        for a, b in zip(batch_invert(sigs), loop):
+            np.testing.assert_array_equal(a.path.points, b.path.points)
+            np.testing.assert_array_equal(a.slopes, b.slopes)
 
     def test_empty_batch(self):
         assert batch_invert([]) == []

@@ -16,6 +16,7 @@ from siginvert import (
     set_allocation_cap,
 )
 from siginvert import signature
+from siginvert.signature import require_clean_angles
 from siginvert.tensor_algebra import get_allocation_cap
 
 from conftest import random_path
@@ -493,21 +494,23 @@ class TestSegmentGeometry:
         p = PiecewiseLinearPath([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0]])
         geom = segment_geometry(p)
         assert geom.angles[0] == pytest.approx(math.pi / 2, abs=1e-12)
-        assert not geom.non_minimal_partition and not geom.tree_like_backtrack
+        require_clean_angles(geom)
 
     def test_collinear_flag(self):
         # straight continuation: vertex angle pi, non-minimal partition
         p = PiecewiseLinearPath([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
         geom = segment_geometry(p)
         assert geom.angles[0] == pytest.approx(math.pi, abs=1e-12)
-        assert geom.non_minimal_partition
+        with pytest.raises(AssumptionViolation, match="collinear"):
+            require_clean_angles(geom)
 
     def test_backtrack_flag(self):
         # exact reversal: vertex angle 0, tree-like
         p = PiecewiseLinearPath([[0.0, 0.0], [1.0, 0.0], [0.5, 0.0]])
         geom = segment_geometry(p)
         assert geom.angles[0] == pytest.approx(0.0, abs=1e-12)
-        assert geom.tree_like_backtrack
+        with pytest.raises(AssumptionViolation, match="backtracking"):
+            require_clean_angles(geom)
 
     def test_total_variation(self):
         p = PiecewiseLinearPath([[0.0, 0.0], [3.0, 0.0], [3.0, 4.0]])

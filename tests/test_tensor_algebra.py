@@ -8,14 +8,26 @@ from hypothesis import strategies as st
 
 from siginvert import (
     AllocationCapError,
+    PiecewiseLinearPath,
     TruncatedSignature,
+    adjoint_contract,
     batch_signature,
+    depth_floor,
     graded_scale,
     path_signature,
+    probe_slot,
+    recovery_error_bound,
+    residual_envelope_bound,
     set_allocation_cap,
+    solve_slope,
 )
 from siginvert.fileio import read_signatures_json
-from siginvert.tensor_algebra import DEFAULT_MAX_COEFFS, check_allocation
+from siginvert.tensor_algebra import (
+    DEFAULT_MAX_COEFFS,
+    check_allocation,
+    check_count,
+    get_allocation_cap,
+)
 
 from conftest import random_path
 from oracles import (
@@ -191,6 +203,88 @@ class TestAllocationCap:
                             (-2, [[1.0]]), (2, [])]:
             with pytest.raises(ValueError):
                 TruncatedSignature(dim, levels)
+        # a level of the right size but the wrong shape names both shapes
+        with pytest.raises(ValueError, match=r"needs shape \(2,\), got \(2, 1\)"):
+            TruncatedSignature(2, [[1.0], np.ones((2, 1))])
+
+
+def _kept_cap(cap):
+    previous = get_allocation_cap()
+    try:
+        set_allocation_cap(cap)
+        return get_allocation_cap()
+    finally:
+        set_allocation_cap(previous)
+
+
+def _kept_none(call):
+    """The call, for an argument the library uses but does not keep."""
+    def run(value):
+        call(value)
+    return run
+
+
+_PATH = PiecewiseLinearPath([[0.0, 0.0], [1.0, 0.5], [0.5, 2.0]])
+_BELOW, _TOP = np.array([0.5]), np.array([1.0 / 6.0])  # d = 1, n = 2
+
+# Every count argument: the name its ValueError gives, its floor, whether
+# check_count bounds it by 2**53 (the allocation cap bounds dim instead),
+# and a call returning the count the library keeps, or None.
+COUNT_ARGUMENTS = {
+    "TruncatedSignature dim": (
+        "dim", 1, False,
+        lambda v: TruncatedSignature(v, [[1.0], [0.5, 0.5]]).dim),
+    "set_allocation_cap": ("allocation cap", 1, True, _kept_cap),
+    "batch_signature depth": (
+        "depth", 0, True, lambda v: batch_signature([_PATH], v)[0].depth),
+    "path_signature depth": (
+        "depth", 0, True, lambda v: path_signature(_PATH, v).depth),
+    "adjoint_contract n": (
+        "n", 0, True, _kept_none(lambda v: adjoint_contract(_BELOW, _TOP, v, 1))),
+    "solve_slope p": (
+        "slot p", 1, True, _kept_none(lambda v: solve_slope(_BELOW, _TOP, 2, v))),
+    "recovery_error_bound segments": (
+        "segments", 1, True,
+        _kept_none(lambda v: recovery_error_bound(1.0, v, 1.0, 0.5, 4))),
+    "depth_floor segments": (
+        "segments", 1, True, _kept_none(lambda v: depth_floor(v, 1.0, 0.5))),
+    "recovery_error_bound n": (
+        "n", 0, True,
+        _kept_none(lambda v: recovery_error_bound(1.0, 2, 1.0, 0.5, v))),
+    "residual_envelope_bound n": (
+        "n", 0, True, _kept_none(lambda v: residual_envelope_bound(1.0, 0.5, v))),
+    "probe_slot n": ("n", 0, True, _kept_none(lambda v: probe_slot(0.0, 0.5, v))),
+}
+
+
+class TestCountArguments:
+    @pytest.mark.parametrize("entry", COUNT_ARGUMENTS)
+    def test_refuses_non_counts(self, entry):
+        name, floor, bounded, call = COUNT_ARGUMENTS[entry]
+        bad = [True, 2.0, floor - 1] + ([2**53 + 1] if bounded else [])
+        for value in bad:
+            with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+                call(value)
+
+    @pytest.mark.parametrize("entry", COUNT_ARGUMENTS)
+    def test_accepts_numpy_integer(self, entry):
+        kept = COUNT_ARGUMENTS[entry][3](np.int64(2))
+        assert kept is None or (type(kept) is int and kept == 2)
+
+    def test_check_count(self):
+        assert type(check_count("k", np.int64(3))) is int
+        assert check_count("k", 2**53) == 2**53
+        for value in (np.True_, np.float64(3.0), "3", None, 4):
+            with pytest.raises(ValueError, match=r"^k must be an integer in \[0, 3\]"):
+                check_count("k", value, high=3)
+
+    def test_numpy_dim_round_trips_json(self):
+        sig = TruncatedSignature(np.int64(2), [[1.0], [0.5, -0.25]])
+        text = dumps_signatures([("a", sig)])
+        assert '"dim": 2,' in text
+        [(pid, back)] = read_signatures_json(io.StringIO(text))
+        assert (pid, back.dim, back.depth) == ("a", 2, 1)
+        np.testing.assert_array_equal(back.level(1), sig.level(1))
 
 
 class TestConstructor:
