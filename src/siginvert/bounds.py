@@ -60,10 +60,18 @@ def _finite_or_log(direct, log: float) -> float:
 
 
 def probe_slot(t_prev: float, t_i: float, n: int) -> int:
-    """The slot p = floor((3 t_i + t_{i-1})(n+1) / 4), clamped to 1..n+1."""
+    """The slot p = floor((3 t_i + t_{i-1})(n+1) / 4), clamped to 1..n+1.
+    A time that is not finite raises ValueError.  The product is compared
+    exactly with the integers 1 and n+1, so one past float64 gives 1 or
+    n+1."""
     n = check_count("n", n)
-    p = math.floor((3.0 * t_i + t_prev) * (n + 1) / 4.0)
-    return min(max(p, 1), n + 1)
+    for name, t in (("t_prev", t_prev), ("t_i", t_i)):
+        if not math.isfinite(t):
+            raise ValueError(f"{name} must be finite, got {t}")
+    s = (3.0 * t_i + t_prev) * (n + 1) / 4.0
+    if s < 1:
+        return 1
+    return n + 1 if s >= n + 1 else math.floor(s)
 
 
 def depth_floor(segments: int, omega: float, delta: float) -> float:
@@ -120,17 +128,19 @@ class ErrorComparison:
 
 def compare_recovery(path: PiecewiseLinearPath,
                      depth_list) -> list[ErrorComparison]:
-    """Sign the path to depth n+1 for each n, solve the slope at the
-    probe slot for every segment, and record measured error against the
-    bound."""
+    """Sign the path once to depth max(n)+1, solve the slope at the probe
+    slot for every segment from levels n and n+1 for each n, and record
+    measured error against the bound."""
     path = constant_speed_reparam(path)
     geom = segment_geometry(path)
     require_clean_angles(geom)
     t = path.times
     m = len(geom.lengths)
+    depths = [check_count("n", n) for n in depth_list]
+    # level k does not depend on the signing depth, bit for bit
+    sig = path_signature(path, max(depths, default=0) + 1)
     rows = []
-    for n in depth_list:
-        sig = path_signature(path, n + 1)
+    for n in depths:
         for i in range(1, m + 1):
             p = probe_slot(t[i - 1], t[i], n)
             y = solve_slope(sig.level(n), sig.level(n + 1), n, p)

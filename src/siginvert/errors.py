@@ -14,10 +14,11 @@ class AllocationCapError(SigInvertError):
 
 
 class NormTooSmall(SigInvertError):
-    """Signature level norm below the significance threshold.
+    """A slope solve that float64 cannot carry out.
 
-    Raised by the slope solver when dividing by ``norm(level)**2`` would be
-    meaningless; signals a degenerate or tree-like input.
+    Raised by the slope solver when ``norm(level)**2``, the divisor, is not
+    a normal float64 number (zero, subnormal, infinite or NaN), or when a
+    slope or point is not finite.  Tree-like input is not detected.
     """
 
 

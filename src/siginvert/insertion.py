@@ -17,7 +17,7 @@ diagonal holds the result.
 
 from __future__ import annotations
 
-import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,13 +25,6 @@ import numpy as np
 from .errors import NormTooSmall
 from .signature import PiecewiseLinearPath
 from .tensor_algebra import TruncatedSignature, check_count
-
-# Degeneracy threshold for the norm of the level being divided by.
-# Genuine signatures decay like ell^n / n! (about 8e-18 for a unit-length
-# path at n = 19), so the cutoff must sit well below that while still
-# catching tree-like inputs whose levels vanish.
-EPS_NORM = 1e-18
-
 
 def _check_slot(n: int, p: int) -> None:
     check_count("slot p", p, 1, check_count("n", n) + 1)
@@ -65,10 +58,11 @@ def _adjoint_slot(sig: np.ndarray, z: np.ndarray, d: int, p: int) -> np.ndarray:
 
 def _check_pair(below: np.ndarray, top: np.ndarray, n: int, p: int) -> int:
     """d of levels of degrees n and n + 1 over R^d; the slot, n included,
-    is checked first, so d**n is taken of a checked n."""
+    is checked first.  No array holds 2**64 entries, so d**min(n, 64)
+    decides the size check as d**n would, in bounded time."""
     _check_slot(n, p)
     d = top.size // below.size if below.size else 0
-    if d < 1 or below.size != d**n or top.size != d * below.size:
+    if d < 1 or below.size != d ** min(n, 64) or top.size != d * below.size:
         raise ValueError(f"need levels of degrees {n} and {n + 1} over one "
                          f"R^d, got {below.size} and {top.size} coefficients")
     return d
@@ -93,10 +87,13 @@ def _solve(below: np.ndarray, top: np.ndarray, n: int, slots,
 
     Row i holds y* = (n+1) * A_p^T X^{n+1} / norm(X^n)**2 for p = slots[i],
     where ``below`` is the degree-n level X^n and ``top`` is X^{n+1}; the
-    points start at ``start`` and step by y*/(n+1).  A divisor at or below
-    EPS_NORM**2, NaN or infinite, or any slope or point that is not finite,
-    is refused; the points are checked too because finite slopes can still
-    step past float64 from a large start.
+    points start at ``start`` and step by y*/(n+1).  The guard refuses
+    only what float64 cannot hold: a divisor norm(X^n)**2 that is not a
+    normal float64 number (zero, subnormal, infinite or NaN), or any slope
+    or point that is not finite; the points are checked too because finite
+    slopes can still step past float64 from a large start.  No scale is
+    refused for being small, and tree-like input, whose top levels are
+    rounding noise, is not detected.
     """
     d, factor = top.size // below.size, n + 1
     with np.errstate(all="ignore"):
@@ -109,11 +106,11 @@ def _solve(below: np.ndarray, top: np.ndarray, n: int, slots,
         np.cumsum(slopes / factor, axis=0, out=points[1:])
         points[1:] += start
     # a non-finite slope makes every later point non-finite
-    if not (EPS_NORM**2 < nrm2 < math.inf and np.isfinite(points).all()):
+    if not (sys.float_info.min <= nrm2 < np.inf and np.isfinite(points).all()):
         raise NormTooSmall(
-            f"the degree-{n} level has squared norm {nrm2:.3g}, "
-            f"outside ({EPS_NORM}**2, inf), or a slope or point is not "
-            "finite; degenerate, tree-like or overflowing input"
+            f"the degree-{n} level has squared norm {nrm2:.3g}, which is not "
+            "a normal float64 number, or a slope or point is not finite; "
+            "zero, underflowing or overflowing input"
         )
     return slopes, points
 

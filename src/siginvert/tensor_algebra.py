@@ -31,8 +31,10 @@ def get_allocation_cap() -> int:
 
 
 def check_allocation(dim: int, degree: int) -> None:
-    """Refuse tensor sizes past the cap before any memory is touched."""
-    if dim**degree > _max_coeffs:
+    """Refuse tensor sizes past the cap before any memory is touched.  The
+    cap is at most 2**53, so dim**min(degree, 54) decides as dim**degree
+    would, in bounded time."""
+    if dim ** min(degree, 54) > _max_coeffs:
         raise AllocationCapError(
             f"a degree-{degree} tensor over R^{dim} needs {dim}**{degree} "
             f"coefficients, above the cap of {_max_coeffs}; "

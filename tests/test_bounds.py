@@ -11,10 +11,12 @@ from siginvert import (
     compare_recovery,
     depth_floor,
     k_of_omega,
+    path_signature,
     probe_slot,
     residual_envelope_bound,
     recovery_error_bound,
 )
+from siginvert import bounds
 from siginvert.signature import constant_speed_reparam, segment_geometry
 
 from conftest import unit_speed_two_segment
@@ -38,6 +40,26 @@ class TestProbeSlot:
         assert probe_slot(0.0, 1e-4, 5) == 1
         for n in (5, 9, 30):
             assert 1 <= probe_slot(0.999, 1.0, n) <= n + 1
+
+    def test_in_range_slots_keep_the_formula(self, rng):
+        for t_prev, t_i in rng.uniform(-0.5, 1.5, size=(200, 2)):
+            for n in (0, 1, 7, 30, 2**53):
+                p = math.floor((3.0 * t_i + t_prev) * (n + 1) / 4.0)
+                assert probe_slot(t_prev, t_i, n) == min(max(p, 1), n + 1)
+
+    def test_product_past_float64_is_clamped(self):
+        assert probe_slot(0.0, 1e308, 3) == 4
+        assert probe_slot(-1e308, -1e308, 3) == 1
+        assert probe_slot(0.0, 1e308, 2**53) == 2**53 + 1
+        assert probe_slot(1.0, 1.0, 2**53 - 1) == 2**53
+
+    @pytest.mark.parametrize("t_prev, t_i, name", [
+        (math.nan, 0.5, "t_prev"), (0.0, math.inf, "t_i"),
+        (0.0, -math.inf, "t_i"), (math.inf, math.nan, "t_prev"),
+    ])
+    def test_time_not_finite_is_named(self, t_prev, t_i, name):
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            probe_slot(t_prev, t_i, 3)
 
 
 # Arguments outside the bounds' domain, one at a time, on top of valid
@@ -223,6 +245,36 @@ class TestCompareRecovery:
         p = unit_speed_two_segment(0.4, math.pi / 2.0)
         with pytest.raises(ValueError, match="^n must be an integer"):
             compare_recovery(p, [-1])
+
+    def test_rows_finite_at_depth_20(self):
+        # the two-segment path of lib-roundtrip, seed 3, once refused at
+        # n = 20 for the scale of its degree-20 level
+        p = PiecewiseLinearPath(
+            [[0.0, 0.0], [-0.47974389002436635, 0.12519430313252583],
+             [-0.19025398262771828, 0.5379931498020589]],
+            [0.0, 0.4958102596281668, 1.0])
+        rows = compare_recovery(p, [20])
+        assert [r.segment for r in rows] == [1, 2]
+        assert all(math.isfinite(r.measured) and math.isfinite(r.bound)
+                   for r in rows)
+
+    def test_signs_once_with_rows_of_signing_per_depth(self, monkeypatch):
+        # one signature to depth max(n) + 1; its levels n and n + 1 give
+        # every field of the rows that signing to depth n + 1 alone gives
+        signed = []
+        monkeypatch.setattr(bounds, "path_signature", lambda path, depth: (
+            signed.append(depth) or path_signature(path, depth)))
+        depths = [6, 8, 10, 12, 14]
+        for seed in range(1, 21):
+            rng = np.random.default_rng(seed)
+            p = unit_speed_two_segment(rng.uniform(0.4, 0.6),
+                                       rng.uniform(math.pi / 3.0,
+                                                   2.0 * math.pi / 3.0))
+            per_depth = [r for n in depths for r in compare_recovery(p, [n])]
+            signed.clear()
+            rows = compare_recovery(p, depths)
+            assert signed == [15]
+            assert list(map(repr, rows)) == list(map(repr, per_depth))
 
     def test_rows_are_well_formed(self):
         p = unit_speed_two_segment(0.4, math.pi / 2.0)

@@ -2,8 +2,11 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -811,12 +814,52 @@ class TestBadArguments:
         assert main(["sign", f, "--depth", "89", "--max-coeffs", "1000"]) == 3
         assert_one_error_line(capsys)
 
+    def test_depth_2_pow_53_is_past_the_cap(self, square, capsys):
+        # refused at once, without building 2**(2**53)
+        assert main(["sign", square, "--depth", str(2**53)]) == 3
+        assert_one_error_line(capsys)
+
     def test_develop_n1_overflow(self, tmp_path, capsys):
         steps = np.tile([[1.0, 0.0], [0.0, 1.0]], (100, 1))
         pts = np.vstack([[0.0, 0.0], np.cumsum(steps, axis=0)])
         f = write_path_csv_file(tmp_path, "stairs.csv", pts)
         assert main(["develop", f, "--alpha", "500"]) == 4
         assert_one_error_line(capsys)
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run_module(cwd, *argv):
+    """``python -m siginvert.cli`` in its own process, importing the
+    package from this checkout."""
+    return subprocess.run([sys.executable, "-m", "siginvert.cli", *argv],
+                          cwd=cwd, env=dict(os.environ, PYTHONPATH=str(SRC)),
+                          capture_output=True, timeout=120)
+
+
+class TestProcess:
+    def test_bytes_equal_in_process_main(self, tmp_path, capsys):
+        f = write_path_csv_file(tmp_path, "p.csv",
+                                [[0.0, 0.0], [1.0, 0.5], [0.25, 1.5]])
+        sign = run_module(tmp_path, "sign", f, "--depth", "6")
+        assert (sign.returncode, sign.stderr) == (0, b"")
+        assert main(["sign", f, "--depth", "6"]) == 0
+        assert sign.stdout == capsys.readouterr().out.encode()
+        sig_file = tmp_path / "sig.json"
+        sig_file.write_bytes(sign.stdout)
+        invert = run_module(tmp_path, "invert", str(sig_file))
+        assert (invert.returncode, invert.stderr) == (0, b"")
+        assert main(["invert", str(sig_file)]) == 0
+        assert invert.stdout == capsys.readouterr().out.encode()
+
+    def test_malformed_csv_exits_2_with_one_line(self, tmp_path):
+        f = tmp_path / "bad.csv"
+        f.write_text("x1,x2\n0.0,0.0\n1.0,oops\n")
+        proc = run_module(tmp_path, "sign", str(f), "--depth", "3")
+        assert (proc.returncode, proc.stdout) == (2, b"")
+        [line] = proc.stderr.decode().splitlines()
+        assert line.startswith("error: ")
 
 
 class TestResample:

@@ -11,6 +11,7 @@ from siginvert import (
     adjoint_contract,
     batch_invert,
     constant_speed_reparam,
+    graded_scale,
     invert_signature,
     path_signature,
     solve_slope,
@@ -254,8 +255,6 @@ class TestInvertSignature:
             invert_signature(sig, start=[1e308])
 
     def test_scale_equivariance(self, rng):
-        from siginvert import graded_scale
-
         path = random_path(rng, 3, 2)
         sig = path_signature(path, 8)
         res = invert_signature(sig)
@@ -285,6 +284,91 @@ def _eval(path, t):
     for j in range(path.dim):
         out[j] = np.interp(t, path.times, path.points[:, j])
     return out
+
+
+def quarter_circle(length, segments=10):
+    """A quarter circle of ``segments`` chords with total length ``length``."""
+    theta = np.linspace(0.0, math.pi / 2.0, segments + 1)
+    pts = np.column_stack([np.cos(theta), np.sin(theta)])
+    chords = np.linalg.norm(np.diff(pts, axis=0), axis=1).sum()
+    return PiecewiseLinearPath(pts * (length / chords))
+
+
+def rounding_tol(d, n, scale):
+    """Worst-case rounding of a plain sum of the d**n products each slope
+    contracts, relative to ``scale``."""
+    return d**n * np.finfo(np.float64).eps * scale
+
+
+class TestGuardIsScaleFree:
+    """The solve refuses only a divisor that float64 cannot hold (zero,
+    subnormal, infinite or NaN) or a result that is not finite, so a
+    genuine signature inverts at any scale and depth."""
+
+    @pytest.mark.parametrize("direction, depths", [
+        ([0.6, -0.8], (2, 12, 21)),
+        ([0.48, -0.6, 0.64], (2, 8, 13)),
+    ], ids=["d2", "d3"])
+    def test_straight_segment_at_every_scale(self, direction, depths):
+        d = len(direction)
+        for length in np.geomspace(1e-3, 1e3, 7):
+            disp = length * np.array(direction)
+            path = PiecewiseLinearPath([np.zeros(d), disp])
+            for n in depths:
+                res = invert_signature(path_signature(path, n))
+                tol = rounding_tol(d, n, length)
+                np.testing.assert_allclose(res.slopes, np.tile(disp, (n, 1)),
+                                           rtol=0, atol=tol)
+                np.testing.assert_allclose(
+                    res.path.points, np.outer(np.arange(n + 1) / n, disp),
+                    rtol=0, atol=tol)
+
+    def test_quarter_circle_converges_at_any_scale(self):
+        errors = {}
+        for length in (1.0, 0.01):
+            path = constant_speed_reparam(quarter_circle(length))
+            errors[length] = []
+            for n in (10, 16, 22):
+                res = invert_signature(path_signature(path, n), path.points[0])
+                truth = np.stack([_eval(path, t)
+                                  for t in np.linspace(0.0, 1.0, n + 1)])
+                errors[length].append(float(np.mean(np.linalg.norm(
+                    res.path.points - truth, axis=1))) / length)
+        assert errors[1.0][0] > errors[1.0][1] > errors[1.0][2]
+        np.testing.assert_allclose(errors[0.01], errors[1.0], rtol=1e-9)
+
+    @pytest.mark.parametrize("d, depth", [(2, 4), (2, 12), (2, 20),
+                                          (3, 4), (3, 12)])
+    def test_graded_scale_covariance(self, rng, d, depth):
+        # invert(graded_scale(S, a)) == a * invert(S); bitwise for a power
+        # of two, which scales every product and sum exactly
+        sig = path_signature(random_path(rng, 4, d), depth)
+        ref = invert_signature(sig)
+        for a in np.geomspace(1e-3, 1e3, 13):
+            res = invert_signature(graded_scale(sig, a))
+            tol = rounding_tol(d, depth, a * np.abs(ref.path.points).max())
+            np.testing.assert_allclose(res.path.points, a * ref.path.points,
+                                       rtol=0, atol=tol)
+        for a in 2.0 ** np.arange(-9, 10, 3):
+            res = invert_signature(graded_scale(sig, a))
+            np.testing.assert_array_equal(res.path.points, a * ref.path.points)
+            np.testing.assert_array_equal(res.slopes, a * ref.slopes)
+
+    def test_divisor_at_the_bottom_of_float64(self):
+        # squared norms 4e-300, a normal float64 number, and 4e-320, below
+        # float64's normal range
+        top = np.full(8, 1e-150)
+        normal, subnormal = np.full(4, 1e-150), np.full(4, 1e-160)
+        np.testing.assert_allclose(solve_slope(normal, top, 2, 1), [3.0, 3.0],
+                                   rtol=1e-15)
+        sig = TruncatedSignature(2, [[1.0], [1.0, 1.0], normal, top])
+        np.testing.assert_allclose(invert_signature(sig).slopes, 3.0,
+                                   rtol=1e-15)
+        with pytest.raises(NormTooSmall, match="not a normal float64"):
+            solve_slope(subnormal, top, 2, 1)
+        with pytest.raises(NormTooSmall):
+            invert_signature(
+                TruncatedSignature(2, [[1.0], [1.0, 1.0], subnormal, top]))
 
 
 class TestBatchInvert:

@@ -198,6 +198,28 @@ class TestAllocationCap:
         finally:
             set_allocation_cap(DEFAULT_MAX_COEFFS)
 
+    def test_degree_up_to_2_pow_53_is_decided_at_once(self):
+        # dim**degree is never built: at the largest cap, 2**53 coefficients
+        # still pass and one more degree does not
+        path = PiecewiseLinearPath([[0.0, 0.0], [1.0, 1.0]])
+        previous = get_allocation_cap()
+        try:
+            set_allocation_cap(2**53)
+            check_allocation(2, 53)
+            check_allocation(1, 2**53)
+            for dim, degree in [(2, 54), (2, 2**53), (3, 2**53)]:
+                with pytest.raises(AllocationCapError, match="cap"):
+                    check_allocation(dim, degree)
+            with pytest.raises(AllocationCapError, match="cap"):
+                path_signature(path, 2**53)
+        finally:
+            set_allocation_cap(previous)
+        with pytest.raises(ValueError, match="degrees 9007199254740992 and"):
+            adjoint_contract(np.ones(2), np.ones(4), 2**53, 1)
+        # over R^1 every level has one entry, at any degree
+        assert adjoint_contract(np.array([0.5]), np.array([0.25]),
+                                2**53, 2**53 + 1) == [0.125]
+
     def test_signature_validates_levels(self):
         for dim, levels in [(2, [[1.0], [1.0, 2.0, 3.0]]), (0, [[1.0]]),
                             (-2, [[1.0]]), (2, [])]:
