@@ -8,15 +8,22 @@ so the least-squares slope has the closed form
 The full inversion sweeps p = 1..n over the top two levels of the supplied
 signature and integrates the slopes on the uniform grid p/n.
 
-Every slot goes through one contraction, ``_adjoint_slot``.  A slot whose
-tail (the d**(n+1-p) indices after slot p) holds more than 8 entries is
-contracted by einsum.  A shorter tail, over which einsum's inner loop runs
-4-5x slower per multiply-add, is contracted by one BLAS product whose
-diagonal holds the result.
+Every slot goes through one contraction, ``_adjoint_rows``, which splits
+the slots of a level three ways by k, the largest degree up to 4 (and up
+to n) with d**k <= 16.  The head slots p <= k + 1, whose head (the
+indices before slot p) holds at most d**k entries, read their rows off
+one BLAS product; the tail slots, whose tail (the indices after the slot)
+holds at most d**k entries, read theirs off a second one; the middle
+slots between them are contracted by einsum, one call each.  A product
+does up to 16 times the multiply-adds of one slot, but saves einsum's
+per-call cost and its slow inner loop over a short tail.  The split
+depends on (d, n) alone, so a slot's row has the same bits whichever
+other slots are asked for.
 """
 
 from __future__ import annotations
 
+import functools
 import sys
 from dataclasses import dataclass
 
@@ -30,30 +37,78 @@ def _check_slot(n: int, p: int) -> None:
     check_count("slot p", p, 1, check_count("n", n) + 1)
 
 
-# Longest tail that _adjoint_slot contracts by the BLAS product.  Timed at
-# d = 2, 3, 4: tails of 16 and 27 already ran faster in einsum.
-_SHORT_TAIL = 8
+# Longest head or tail, in entries, that one BLAS product serves.  A slot
+# in a block costs up to this many times its own multiply-adds; 16 beat 8,
+# 32 and 64 at (d, n) = (2, 14) and (3, 9), while 32 and 64 ran up to 6%
+# faster at (3, 12).
+_BLOCK = 16
 
 
-def _adjoint_slot(sig: np.ndarray, z: np.ndarray, d: int, p: int) -> np.ndarray:
-    """Transpose of the slot-p insertion of R^d into the flat tensor ``sig``,
-    applied to the flat tensor ``z`` of one degree more.
+def _block_degree(d: int, n: int) -> int:
+    """The largest k <= n with d**k <= _BLOCK, and at most log2(_BLOCK)
+    even at d = 1, where every power fits."""
+    k = 0
+    while k < min(n, _BLOCK.bit_length() - 1) and d ** (k + 1) <= _BLOCK:
+        k += 1
+    return k
 
-    With z seen as (head, j, tail) and sig as (head, tail), component j is
-    sum over head a and tail b of z[a, j, b] * sig[a, b].  einsum's inner
-    loop runs along the tail, and over a tail of 8 or fewer entries it runs
-    4-5x slower per multiply-add than over a long one.  So a short tail is
-    contracted over the head by one BLAS product, sig^T @ z, whose
-    (tail, j, tail) result holds the wanted sums on its diagonal in the two
-    tail axes: at most ``_SHORT_TAIL`` times the work, all of it in BLAS.
-    A long tail keeps einsum.
+
+@functools.lru_cache(maxsize=16)
+def _block_entries(d: int, k: int) -> np.ndarray:
+    """Flat positions, in a (d**k, d**(k+1)) block product, of the entries
+    [(c, e), (c, j, e)] that slot i + 1 of the block sums, c over the
+    d**i head and e over the d**(k-i) tail: shape (k + 1, d, d**k)."""
+    out = np.empty((k + 1, d, d**k), dtype=np.intp)
+    for i in range(k + 1):
+        tail = d ** (k - i)
+        c, e = np.arange(d**i)[:, None], np.arange(tail)
+        row, col = (c * tail + e).ravel(), (c * d * tail + e).ravel()
+        out[i] = row * d ** (k + 1) + col + tail * np.arange(d)[:, None]
+    out.flags.writeable = False
+    return out
+
+
+def _adjoint_rows(below: np.ndarray, top: np.ndarray, d: int, n: int,
+                  slots) -> np.ndarray:
+    """Rows A_p^T top, for p in ``slots``, of the slot-p insertion of R^d
+    into the flat degree-n tensor ``below``; ``top`` has degree n + 1.
+
+    With top seen as (head, j, tail) and below as (head, tail), component
+    j sums top[a, j, b] * below[a, b] over head a and tail b.  With
+    k = _block_degree(d, n), two (d**k, d**(k+1)) products hold these sums
+    for the block slots, spread over the entries that _block_entries
+    lists:
+
+    - the head slots p <= k + 1, in below(d**k, .) @ top(d**(k+1), .)^T,
+      which contracts the last n - k indices;
+    - the other slots with n + 1 - p <= k, the tail slots, in
+      below(., d**k)^T @ top(., d**(k+1)), which contracts the first
+      n - k indices.
+
+    The middle slots keep einsum.  Each product and its sums are made once
+    per call, for all the slots of its block, and only when one of them
+    is asked for.
     """
-    pre = d ** (p - 1)
-    post = sig.size // pre
-    if post <= _SHORT_TAIL:
-        m = sig.reshape(pre, post).T @ z.reshape(pre, d * post)
-        return m.reshape(post, d, post).trace(axis1=0, axis2=2)
-    return np.einsum("ajb,ab->j", z.reshape(pre, d, post), sig.reshape(pre, post))
+    k = _block_degree(d, n)
+    pick = _block_entries(d, k)
+    rows = np.empty((len(slots), d))
+    head = tail = None
+    for row, p in zip(rows, slots):
+        if p <= k + 1:
+            if head is None:
+                head = below.reshape(d**k, -1) @ top.reshape(d ** (k + 1), -1).T
+                head = head.take(pick).sum(axis=2)
+            row[:] = head[p - 1]
+        elif n + 1 - p <= k:
+            if tail is None:
+                tail = below.reshape(-1, d**k).T @ top.reshape(-1, d ** (k + 1))
+                tail = tail.take(pick).sum(axis=2)
+            row[:] = tail[k - n - 1 + p]
+        else:
+            pre = d ** (p - 1)
+            np.einsum("ajb,ab->j", top.reshape(pre, d, -1),
+                      below.reshape(pre, -1), out=row)
+    return rows
 
 
 def _check_pair(below: np.ndarray, top: np.ndarray, n: int, p: int) -> int:
@@ -74,11 +129,13 @@ def adjoint_contract(below: np.ndarray, top: np.ndarray, n: int,
     ``below`` to the degree-(n+1) level ``top``.
 
     Component j sums below[(.. no i_p ..)] * top[(i_1..i_{n+1})] over all
-    indices with i_p = j.  Cost O(d^{n+1}), memory O(d); the sparse matrix
-    of the insertion map is never materialized.
+    indices with i_p = j.  A middle slot costs O(d^{n+1}) time and O(d)
+    memory.  A slot whose head or tail holds at most 16 entries pays for
+    its block's BLAS product: up to 16 times that work, and O(d * 16**2)
+    memory.  The sparse matrix of the insertion map is never materialized.
     """
     d = _check_pair(below, top, n, p)
-    return _adjoint_slot(below, top, d, p)
+    return _adjoint_rows(below, top, d, n, [p])[0]
 
 
 def _solve(below: np.ndarray, top: np.ndarray, n: int, slots,
@@ -98,9 +155,7 @@ def _solve(below: np.ndarray, top: np.ndarray, n: int, slots,
     d, factor = top.size // below.size, n + 1
     with np.errstate(all="ignore"):
         nrm2 = float(below @ below)
-        slopes = np.empty((len(slots), d))
-        for i, p in enumerate(slots):
-            slopes[i] = factor * _adjoint_slot(below, top, d, p) / nrm2
+        slopes = factor * _adjoint_rows(below, top, d, n, slots) / nrm2
         points = np.empty((len(slots) + 1, d))
         points[0] = start
         np.cumsum(slopes / factor, axis=0, out=points[1:])

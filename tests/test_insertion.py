@@ -101,8 +101,8 @@ class TestAdjoint:
 
     @pytest.mark.parametrize("d, n", [(1, 5), (2, 6), (2, 10), (3, 5), (4, 4)])
     def test_matches_dense_oracle_at_every_slot(self, rng, d, n):
-        # a tail d**(n+1-p) of at most 8 entries takes the BLAS product, a
-        # longer one einsum: each shape but d=1 (tail 1) runs both branches
+        # each shape with d > 1 has head slots and tail slots, read off one
+        # BLAS product each; (2, 10) has a middle slot too
         sig = path_signature(random_path(rng, 4, d), n + 1)
         # the adjoint is bilinear; unit-scale path levels keep atol relative
         path_pair = [sig.level(k) / np.abs(sig.level(k)).max() for k in (n, n + 1)]
@@ -176,13 +176,15 @@ class TestSolveSlope:
             solve_slope(np.array([0.5]), np.array([1.0, 2.0]), 2, 1)
 
     def test_bitwise_equal_to_inversion_slopes(self, rng):
-        for d in (1, 2, 3):
-            for n in range(2, 9):
-                sig = path_signature(random_path(rng, 4, d), n)
-                slopes = invert_signature(sig).slopes
-                for p in range(1, n + 1):
-                    y = solve_slope(sig.level(n - 1), sig.level(n), n - 1, p)
-                    np.testing.assert_array_equal(y, slopes[p - 1])
+        # one slot solved alone reads its row off the same block product as
+        # inside the full inversion
+        shapes = [(d, n) for d in (1, 2, 3) for n in range(2, 9)]
+        for d, n in shapes + [(2, 14), (3, 9), (4, 6)]:
+            sig = path_signature(random_path(rng, 4, d), n)
+            slopes = invert_signature(sig).slopes
+            for p in range(1, n + 1):
+                y = solve_slope(sig.level(n - 1), sig.level(n), n - 1, p)
+                np.testing.assert_array_equal(y, slopes[p - 1])
 
 
 class TestInvertSignature:
@@ -205,12 +207,27 @@ class TestInvertSignature:
         np.testing.assert_allclose(b.slopes, a.slopes, atol=1e-14)
 
     def test_endpoint_matches_level_one(self, rng):
-        path = random_path(rng, 4, 2)
-        sig = path_signature(path, 10)
-        res = invert_signature(sig)
-        # displacement is recovered from the top levels alone
-        np.testing.assert_allclose(res.path.points[-1],
-                                   path.points[-1] - path.points[0], atol=5e-2)
+        # the shuffle identity gives sum_p y_p = n X^1, so the top levels
+        # alone put the last point at start + X^1, up to rounding, at every
+        # depth; a slot whose row is read off the wrong entries breaks it
+        for d, depths in [(2, range(2, 15)), (3, range(2, 10))]:
+            for n in depths:
+                path = random_path(rng, 4, d)
+                start = rng.standard_normal(d)
+                sig = path_signature(path, n)
+                last = invert_signature(sig, start).path.points[-1]
+                np.testing.assert_allclose(
+                    last, start + sig.level(1), rtol=0,
+                    atol=1e-14 * (_length(path) + np.abs(start).max()))
+
+    def test_closed_loop_ends_at_its_start(self):
+        theta = np.linspace(0.0, 2.0 * math.pi, 13)
+        loop = PiecewiseLinearPath(
+            3.0 * np.column_stack([np.cos(theta), np.sin(theta)]) + [1.0, 2.0])
+        for n in (4, 9, 14):
+            res = invert_signature(path_signature(loop, n), loop.points[0])
+            np.testing.assert_allclose(res.path.points[-1], loop.points[0],
+                                       rtol=0, atol=1e-14 * _length(loop))
 
     @pytest.mark.parametrize("start", [[np.nan, 0.0], [np.inf, 0.0],
                                        [0.0, -np.inf]], ids=["nan", "inf", "-inf"])
@@ -277,6 +294,10 @@ class TestInvertSignature:
             errs.append(float(np.mean(
                 np.linalg.norm(res.path.points - truth, axis=1))))
         assert errs[2] < errs[1] < errs[0]
+
+
+def _length(path):
+    return float(np.linalg.norm(np.diff(path.points, axis=0), axis=1).sum())
 
 
 def _eval(path, t):
@@ -404,6 +425,38 @@ class TestBatchInvert:
 
     def test_empty_batch(self):
         assert batch_invert([]) == []
+
+
+# (d, n) of inverted signatures, across the block boundaries of their top
+# level (degree n over degree n - 1), where a head or tail of at most 16
+# entries puts a slot in a block: head slots alone at (1, 40) and (2, 3),
+# head and tail slots meeting at (2, 6), (3, 4), (4, 5) and (5, 4), and
+# head, middle and tail slots at (2, 14) and (3, 9)
+BLOCK_SHAPES = [(1, 40), (2, 3), (2, 6), (2, 14), (3, 4), (3, 9), (4, 5),
+                (5, 4)]
+
+
+class TestBlockBoundaries:
+    @pytest.mark.parametrize("d, n", BLOCK_SHAPES)
+    def test_adjoint_of_dense_insertion_at_every_slot(self, rng, d, n):
+        # <insert_p(y), z> == <y, adjoint_p(z)>, within the worst-case
+        # rounding of a sum of d**n products (Cauchy-Schwarz bounds each)
+        below, z = rng.standard_normal(d ** (n - 1)), rng.standard_normal(d**n)
+        y = rng.standard_normal(d)
+        tol = rounding_tol(d, n, euclidean_norm(below) * np.linalg.norm(y)
+                           * euclidean_norm(z))
+        for p in range(1, n + 1):
+            lhs = float(insertion_apply(below, y, n - 1, p) @ z)
+            rhs = float(y @ adjoint_contract(below, z, n - 1, p))
+            assert abs(lhs - rhs) <= tol, p
+
+    def test_batch_bitwise_equal_to_loop(self, rng):
+        sigs = [path_signature(random_path(rng, 4, d), n)
+                for d, n in BLOCK_SHAPES * 2]
+        loop = [invert_signature(s) for s in sigs]
+        for a, b in zip(batch_invert(sigs), loop):
+            np.testing.assert_array_equal(a.path.points, b.path.points)
+            np.testing.assert_array_equal(a.slopes, b.slopes)
 
 
 class TestChenSplitIdentity:
