@@ -39,7 +39,6 @@ from .signature import (
     SegmentGeometry,
     batch_signature,
     constant_speed_reparam,
-    merge_degenerate,
     path_signature,
     segment_geometry,
 )

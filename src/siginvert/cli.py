@@ -49,8 +49,6 @@ def resample_arclength(points: np.ndarray, count: int) -> np.ndarray:
     points = np.asarray(points, dtype=np.float64)
     seg = _segment_lengths(np.diff(points, axis=0))
     s = np.concatenate(([0.0], np.cumsum(seg)))
-    if s[-1] == 0.0:
-        return np.repeat(points[:1], count, axis=0)
     grid = np.linspace(0.0, s[-1], count)
     return np.column_stack(
         [np.interp(grid, s, points[:, j]) for j in range(points.shape[1])]

@@ -26,7 +26,6 @@ from .errors import AssumptionViolation
 from .signature import (
     PiecewiseLinearPath,
     _segment_lengths,
-    merge_degenerate,
     require_clean_angles,
     segment_geometry,
 )
@@ -65,8 +64,8 @@ def develop(path: PiecewiseLinearPath) -> np.ndarray:
 
 
 def develop_checkpoints(path: PiecewiseLinearPath) -> list[np.ndarray]:
-    """Gamma at every breakpoint, starting from the identity."""
-    path = merge_degenerate(path)
+    """Gamma at every point, starting from the identity; a repeated point
+    repeats the Gamma before it."""
     out = [np.eye(path.dim + 1)]
     for dx in np.diff(path.points, axis=0):
         out.append(segment_transport(dx) @ out[-1])
@@ -122,8 +121,9 @@ def norm_lower_bound_check(path: PiecewiseLinearPath,
         raise AssumptionViolation(
             f"a path of length {ell} cannot be scaled to length 1 in float64"
         )
-    path = PiecewiseLinearPath((path.points - path.points[0]) * (1.0 / ell),
-                               path.times)
+    # on the default times: slopes divided by the caller's tiny steps may
+    # overflow, and neither the bound nor the development reads them
+    path = PiecewiseLinearPath((path.points - path.points[0]) * (1.0 / ell))
     geom = segment_geometry(path)
     require_clean_angles(geom)
     m = len(geom.lengths)

@@ -1,8 +1,9 @@
 """CSV path files and JSON signature records.
 
 Path CSV: one point per row, d real columns.  An optional header may name
-a ``t`` column (times) and an ``id`` column (multi-path files); headerless
-files are treated as pure coordinate rows of a single path.
+a ``t`` column (times), an ``id`` column (multi-path files) and an
+``error`` column (failure markers), each at most once; headerless files
+are treated as pure coordinate rows of a single path.
 
 Signature JSON: an object {"dim": d, "depth": n, "levels": [[...], ...]}
 with level k holding d**k reals; a batch is a JSON array of such objects.
@@ -64,6 +65,10 @@ def read_paths_csv(stream) -> list[tuple[str, PiecewiseLinearPath]]:
         rows = rows[1:]
         if not rows:
             raise InputFormatError("no points: header-only CSV file")
+        for name in ("t", "id", "error"):
+            if header.count(name) > 1:
+                raise InputFormatError(
+                    f"the CSV header names the {name!r} column more than once")
 
     t_col = header.index("t") if header and "t" in header else None
     id_col = header.index("id") if header and "id" in header else None

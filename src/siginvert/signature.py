@@ -74,18 +74,6 @@ class PiecewiseLinearPath:
         return PiecewiseLinearPath(alpha * self.points, self.times)
 
 
-def merge_degenerate(path: PiecewiseLinearPath) -> PiecewiseLinearPath:
-    """Drop consecutive duplicate points; they carry the identity signature."""
-    pts, t = path.points, path.times
-    keep = np.flatnonzero(np.concatenate(([True], (pts[1:] != pts[:-1]).any(axis=1))))
-    if len(keep) == len(pts):
-        return path
-    if len(keep) < 2:
-        # all points equal: keep the two endpoints of a zero segment
-        return PiecewiseLinearPath(pts[[0, -1]], t[[0, -1]])
-    return PiecewiseLinearPath(pts[keep], t[keep])
-
-
 @dataclass(frozen=True)
 class SegmentGeometry:
     """Slopes, lengths and kink angles of a path.
@@ -289,14 +277,17 @@ def path_signature(path: PiecewiseLinearPath, depth: int) -> TruncatedSignature:
 def constant_speed_reparam(path: PiecewiseLinearPath) -> PiecewiseLinearPath:
     """Replace the times so that every slope has norm ell (the length).
 
-    Repeated points are merged first.  A length outside (0, inf), or a
-    segment too short to advance the time in float64, raises ValueError.
+    The times must increase strictly, so the point that ends a zero-length
+    segment is dropped.  A length outside (0, inf), or a segment too short
+    to advance the time in float64, raises ValueError.
     """
-    path = merge_degenerate(path)
     seg_len = _segment_lengths(np.diff(path.points, axis=0))
+    keep = np.concatenate(([True], seg_len > 0))
+    # summing the zeros too would regroup numpy's pairwise sum
+    seg_len = seg_len[keep[1:]]
     ell = seg_len.sum()
     if not 0.0 < ell < math.inf:
         raise ValueError(f"a path of length {ell} cannot be reparameterized")
     u = np.concatenate(([0.0], np.cumsum(seg_len) / ell))
     u[-1] = 1.0
-    return PiecewiseLinearPath(path.points, u)
+    return PiecewiseLinearPath(path.points[keep], u)

@@ -3,10 +3,10 @@ the insertion operator, the Chen-chain norm estimate, a per-entry
 insertion adjoint, and the tensor operations the package does not need
 (tensor product, slot permutation, the insertion map, the closed-form
 signature of a linear segment and Chen's identity); with the small helpers
-only the tests use (multi-index offsets, path restriction, the trivial
-signature, the Euclidean norm, signature records as dicts and as JSON
-text, and the hyperboloid's bilinear form, distance, basepoint and
-isometry defect).
+only the tests use (multi-index offsets, path restriction, the points that
+differ from the one before, the trivial signature, the Euclidean norm,
+signature records as dicts and as JSON text, and the hyperboloid's
+bilinear form, distance, basepoint and isometry defect).
 
 Levels are flat row-major float64 arrays, as in ``TruncatedSignature``.
 These functions check the library's results by other routes and are not
@@ -131,6 +131,16 @@ def restrict(path: PiecewiseLinearPath, u: float, v: float) -> PiecewiseLinearPa
     new_t = np.concatenate(([u], t[inner], [v]))
     new_p = np.vstack([point_at(u), pts[inner], point_at(v)])
     return PiecewiseLinearPath(new_p, new_t)
+
+
+def distinct_points(points) -> list[int]:
+    """Indices of the points that differ from the last point kept, by a
+    loop over exact equality; the first point is always kept."""
+    keep = [0]
+    for i in range(1, len(points)):
+        if not np.array_equal(points[i], points[keep[-1]]):
+            keep.append(i)
+    return keep
 
 
 def adjoint_oracle(below: np.ndarray, top: np.ndarray, n: int,

@@ -12,7 +12,6 @@ from siginvert import (
     develop_checkpoints,
     f_map,
     k_of_omega,
-    merge_degenerate,
     norm_lower_bound_check,
     path_signature,
     segment_geometry,
@@ -25,6 +24,7 @@ from oracles import (
     b_defect,
     basepoint,
     chen_lower_bound_chain,
+    distinct_points,
     hyperbolic_distance,
     linear_signature,
     minkowski_b,
@@ -85,6 +85,18 @@ class TestDevelop:
     def test_empty_displacement(self):
         p = PiecewiseLinearPath([[0.0, 0.0], [0.0, 0.0]])
         np.testing.assert_array_equal(develop(p), np.eye(3))
+
+    def test_repeated_points_repeat_their_checkpoint(self, rng):
+        # one Gamma per point: a repeated point multiplies by the identity,
+        # which may flip the sign of a zero but no value
+        base = random_path(rng, 5, 3).points
+        runs = [1, 3, 1, 2, 1, 1]
+        p = PiecewiseLinearPath(np.repeat(base, runs, axis=0))
+        want = develop_checkpoints(PiecewiseLinearPath(base))
+        checkpoints = develop_checkpoints(p)
+        assert len(checkpoints) == len(p.points)
+        np.testing.assert_array_equal(checkpoints, np.repeat(want, runs, axis=0))
+        np.testing.assert_array_equal(develop(p), want[-1])
 
     def test_b_preserved_at_every_checkpoint(self, rng):
         p = random_path(rng, 5, 3)
@@ -217,9 +229,9 @@ class TestNormLowerBound:
     @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
     def test_develops_the_path_normalized_by_hand(self, rng, monkeypatch, scale):
         # bit for bit the path reparameterized to constant speed (repeated
-        # points merged), moved to start at the origin and scaled to length
-        # 1; the repeated points add no zero length, which would regroup
-        # numpy's pairwise sum
+        # points dropped), moved to start at the origin and scaled to length
+        # 1, on the default times; the repeated points add no zero length,
+        # which would regroup numpy's pairwise sum
         pts = scale * turning_unit_path(rng, 16, math.pi / 4.0,
                                         3.0 * math.pi / 4.0).points + [3.0, -2.0]
         pts = np.insert(pts, [1, 5, 9], pts[[1, 5, 9]], axis=0)
@@ -231,7 +243,9 @@ class TestNormLowerBound:
         unit = unit.translated(-unit.points[0]).scaled(
             1.0 / segment_geometry(unit).total_variation)
         [path] = seen
-        assert merge_degenerate(path).points.tobytes() == unit.points.tobytes()
+        assert path.points[distinct_points(path.points)].tobytes() == \
+            unit.points.tobytes()
+        np.testing.assert_array_equal(path.times, np.linspace(0.0, 1.0, len(pts)))
 
     @pytest.mark.parametrize("points", [
         [[1.0, 2.0], [1.0, 2.0]],

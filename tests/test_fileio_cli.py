@@ -236,6 +236,18 @@ class TestPathCsv:
                            match="path 'b': .*strictly increasing"):
             read_paths_csv(io.StringIO(text))
 
+    @pytest.mark.parametrize("header,name", [
+        ("t,t,x1", "t"), ("id,x1,id", "id"), ("x1,error,ERROR", "error")])
+    def test_special_column_named_twice(self, header, name):
+        # else a second t is read as a coordinate, a second id as a number
+        with pytest.raises(InputFormatError,
+                           match=f"names the '{name}' column more than once"):
+            read_paths_csv(io.StringIO(header + "\n0,1,2\n1,2,3\n"))
+
+    def test_coordinate_columns_may_share_a_name(self):
+        [(_, p)] = read_paths_csv(io.StringIO("x,x\n0,1\n2,3\n"))
+        np.testing.assert_array_equal(p.points, [[0.0, 1.0], [2.0, 3.0]])
+
     def test_single_point_path(self):
         with pytest.raises(InputFormatError, match="fewer than 2"):
             read_paths_csv(io.StringIO("x1,x2\n1.0,2.0\n"))
@@ -544,6 +556,17 @@ class TestDevelopCli:
                                 [[0.0, 0.0], [1.0, 0.0], [0.25, 0.0]])
         assert main(["develop", f]) == 4
 
+    @pytest.mark.parametrize("step", [1e-310, 1e-320, 5e-324])
+    def test_subnormal_time_step(self, tmp_path, capsys, step):
+        # the check reads no times; dividing by this step overflows a slope
+        pts = [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0]]
+        timed = write_path_csv_file(tmp_path, "timed.csv", pts, [0.0, step, 1.0])
+        plain = write_path_csv_file(tmp_path, "plain.csv", pts)
+        assert main(["develop", plain]) == 0
+        want = capsys.readouterr().out
+        assert main(["develop", timed]) == 0
+        assert capsys.readouterr() == (want, "")
+
     def test_short_path_far_from_origin(self, tmp_path, capsys):
         # scaling the absolute points by 1/ell = 1e10 would overflow them
         f = write_path_csv_file(tmp_path, "far.csv", [[1e300, 0.0], [1e300, 1e-10]])
@@ -770,6 +793,12 @@ class TestBadArguments:
         assert main([command[0], str(tmp_path)] + command[1:]) == 2
         assert_one_error_line(capsys)
 
+    def test_special_column_named_twice(self, tmp_path, capsys):
+        f = tmp_path / "dup.csv"
+        f.write_text("t,t,x1\n0,0,0\n1,1,1\n")
+        assert main(["sign", str(f), "--depth", "2"]) == 2
+        assert_one_error_line(capsys)
+
     def test_develop_constant_path(self, tmp_path, capsys):
         f = write_path_csv_file(tmp_path, "c.csv", [[1.0, 2.0], [1.0, 2.0]])
         assert main(["develop", f]) == 4
@@ -874,6 +903,11 @@ class TestResample:
         out = resample_arclength(pts, 21)
         gaps = np.linalg.norm(np.diff(out, axis=0), axis=1)
         np.testing.assert_allclose(gaps, 0.1, atol=1e-12)
+
+    def test_constant_polyline(self):
+        pts = np.array([[1.5, -2.0]] * 3)
+        np.testing.assert_array_equal(resample_arclength(pts, 7),
+                                      np.repeat(pts[:1], 7, axis=0))
 
     def test_roundtrip_errors_zero_for_linear(self):
         p = PiecewiseLinearPath([[0.0, 0.0], [1.0, 2.0]])

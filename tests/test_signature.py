@@ -10,7 +10,6 @@ from siginvert import (
     PiecewiseLinearPath,
     batch_signature,
     constant_speed_reparam,
-    merge_degenerate,
     path_signature,
     segment_geometry,
     set_allocation_cap,
@@ -22,6 +21,7 @@ from siginvert.tensor_algebra import get_allocation_cap
 from conftest import random_path
 from oracles import (
     chen_concat,
+    distinct_points,
     euclidean_norm,
     linear_signature,
     riemann_oracle,
@@ -122,32 +122,10 @@ class TestPathSignature:
                 assert euclidean_norm(sig.levels[k]) <= \
                     ell**k / math.factorial(k) + 1e-10
 
-    @pytest.mark.parametrize("seed", range(6))
-    def test_merge_degenerate_matches_point_loop(self, seed):
-        # runs of repeated points, -0.0 next to 0.0, and (seed 5) a path
-        # of one repeated point
-        rng = np.random.default_rng(seed)
-        base = rng.integers(-2, 3, size=(12, 1 + seed % 3)).astype(float)
-        base[rng.random(12) < 0.2] = -0.0
-        pts = np.repeat(base, rng.integers(1, 4, size=12), axis=0)
-        if seed == 5:
-            pts[:] = pts[0]
-        path = PiecewiseLinearPath(pts, np.cumsum(rng.random(len(pts))))
-        keep = [0]              # reference: drop a point equal to the last kept
-        for i in range(1, len(pts)):
-            if not np.array_equal(pts[i], pts[keep[-1]]):
-                keep.append(i)
-        if len(keep) < 2:
-            keep = [0, len(pts) - 1]
-        merged = merge_degenerate(path)
-        np.testing.assert_array_equal(merged.points, pts[keep])
-        np.testing.assert_array_equal(merged.times, path.times[keep])
-
     def test_degenerate_points_merged(self):
         p = PiecewiseLinearPath([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0],
                                  [1.0, 0.0], [1.0, 1.0]])
         q = PiecewiseLinearPath([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0]])
-        assert merge_degenerate(p).points.shape == (3, 2)
         for k in range(3):
             np.testing.assert_allclose(path_signature(p, 2).level(k),
                                        path_signature(q, 2).level(k),
@@ -478,6 +456,29 @@ class TestConstantSpeedReparam:
         p = PiecewiseLinearPath([[1.0, 1.0], [1.0, 1.0]])
         with pytest.raises(ValueError):
             constant_speed_reparam(p)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_drops_repeated_points_like_point_loop(self, seed):
+        # runs of repeated points, -0.0 next to 0.0, and (seed 5) a path
+        # of one repeated point
+        rng = np.random.default_rng(seed)
+        base = rng.integers(-2, 3, size=(12, 1 + seed % 3)).astype(float)
+        base[rng.random(12) < 0.2] = -0.0
+        pts = np.repeat(base, rng.integers(1, 4, size=12), axis=0)
+        if seed == 5:
+            pts[:] = pts[0]
+        path = PiecewiseLinearPath(pts, np.cumsum(rng.random(len(pts))))
+        kept = pts[distinct_points(pts)]
+        if len(kept) < 2:
+            with pytest.raises(ValueError, match=r"length 0\.0 cannot be"):
+                constant_speed_reparam(path)
+            return
+        seg = np.linalg.norm(np.diff(kept, axis=0), axis=1)
+        times = np.concatenate(([0.0], np.cumsum(seg) / seg.sum()))
+        times[-1] = 1.0
+        got = constant_speed_reparam(path)
+        assert got.points.tobytes() == kept.tobytes()  # the first of each run
+        np.testing.assert_array_equal(got.times, times)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_huge_coordinates(self):
