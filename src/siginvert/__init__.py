@@ -29,10 +29,8 @@ from .errors import (
 )
 from .insertion import (
     InversionResult,
-    adjoint_contract,
     batch_invert,
     invert_signature,
-    solve_slope,
 )
 from .signature import (
     PiecewiseLinearPath,

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .development import k_of_omega
-from .insertion import solve_slope
+from .insertion import invert_signature
 from .signature import (
     PiecewiseLinearPath,
     constant_speed_reparam,
@@ -16,7 +16,7 @@ from .signature import (
     require_clean_angles,
     segment_geometry,
 )
-from .tensor_algebra import check_count
+from .tensor_algebra import TruncatedSignature, check_count
 
 
 def _check(delta, *, ell=1.0, segments=1, n=0) -> None:
@@ -128,23 +128,26 @@ class ErrorComparison:
 
 def compare_recovery(path: PiecewiseLinearPath,
                      depth_list) -> list[ErrorComparison]:
-    """Sign the path once to depth max(n)+1, solve the slope at the probe
-    slot for every segment from levels n and n+1 for each n, and record
-    measured error against the bound."""
+    """Sign the path once to depth max(n)+1; for each depth n >= 1, invert
+    its levels up to n+1, read every segment's slope off the probe slot,
+    and record the measured error against the bound."""
     path = constant_speed_reparam(path)
     geom = segment_geometry(path)
     require_clean_angles(geom)
     t = path.times
+    # the slopes beta_i; a constant-speed path has no zero-length segment
+    beta = np.diff(path.points, axis=0) / np.diff(t)[:, None]
     m = len(geom.lengths)
-    depths = [check_count("n", n) for n in depth_list]
+    depths = [check_count("n", n, 1) for n in depth_list]
     # level k does not depend on the signing depth, bit for bit
     sig = path_signature(path, max(depths, default=0) + 1)
     rows = []
     for n in depths:
+        slopes = invert_signature(
+            TruncatedSignature(sig.dim, sig.levels[:n + 2])).slopes
         for i in range(1, m + 1):
             p = probe_slot(t[i - 1], t[i], n)
-            y = solve_slope(sig.level(n), sig.level(n + 1), n, p)
-            measured = float(np.linalg.norm(y - geom.slopes[i - 1]))
+            measured = float(np.linalg.norm(slopes[p - 1] - beta[i - 1]))
             delta = float(t[i] - t[i - 1])
             bound = recovery_error_bound(geom.total_variation, m,
                                          geom.min_angle, delta, n)

@@ -121,8 +121,6 @@ def norm_lower_bound_check(path: PiecewiseLinearPath,
         raise AssumptionViolation(
             f"a path of length {ell} cannot be scaled to length 1 in float64"
         )
-    # on the default times: slopes divided by the caller's tiny steps may
-    # overflow, and neither the bound nor the development reads them
     path = PiecewiseLinearPath((path.points - path.points[0]) * (1.0 / ell))
     geom = segment_geometry(path)
     require_clean_angles(geom)

@@ -76,7 +76,7 @@ class PiecewiseLinearPath:
 
 @dataclass(frozen=True)
 class SegmentGeometry:
-    """Slopes, lengths and kink angles of a path.
+    """Lengths and kink angles of a path, read off its points alone.
 
     Angles follow the vertex convention: omega_i is the angle at breakpoint
     i between the rays back along the incoming segment and forward along
@@ -85,8 +85,7 @@ class SegmentGeometry:
     K(omega) is stated in).
     """
 
-    slopes: np.ndarray          # (M, d) slopes beta_i
-    lengths: np.ndarray         # (M,) segment lengths |beta_i| dt_i
+    lengths: np.ndarray         # (M,) segment lengths
     total_variation: float      # ell
     angles: np.ndarray          # (M-1,) vertex angles omega_i in [0, pi]
     min_angle: float            # min_i omega_i; pi when M == 1
@@ -105,14 +104,12 @@ def _segment_lengths(disp: np.ndarray) -> np.ndarray:
 
 
 def segment_geometry(path: PiecewiseLinearPath) -> SegmentGeometry:
-    dt = np.diff(path.times)
     disp = np.diff(path.points, axis=0)
-    slopes = disp / dt[:, None]
     lengths = _segment_lengths(disp)
-    nz = lengths > 0  # zero segments have no slope direction or angle
+    nz = lengths > 0  # zero segments have no direction or angle
     if not np.any(nz):
         raise ValueError("path has no non-degenerate segment")
-    slopes, lengths, disp = slopes[nz], lengths[nz], disp[nz]
+    lengths, disp = lengths[nz], disp[nz]
     m = len(lengths)
     if m > 1:
         unit = disp / lengths[:, None]
@@ -124,7 +121,6 @@ def segment_geometry(path: PiecewiseLinearPath) -> SegmentGeometry:
         angles = np.empty(0)
         min_angle = math.pi
     return SegmentGeometry(
-        slopes=slopes,
         lengths=lengths,
         total_variation=float(lengths.sum()),
         angles=angles,

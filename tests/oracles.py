@@ -20,7 +20,7 @@ import numpy as np
 
 from siginvert import PiecewiseLinearPath, TruncatedSignature, path_signature
 from siginvert.fileio import write_signatures_json
-from siginvert.insertion import _check_slot
+from siginvert.tensor_algebra import check_count
 
 
 def multi_index_to_offset(index: tuple[int, ...], dim: int) -> int:
@@ -90,7 +90,7 @@ def insertion_apply(sig_n: np.ndarray, y, n: int, p: int) -> np.ndarray:
     """Insert y at slot p of the degree-n level ``sig_n``:
     result[(i_1..i_{n+1})] = y_{i_p} * sig[(.. no i_p ..)]."""
     y = np.asarray(y, dtype=np.float64).ravel()
-    _check_slot(n, p)
+    check_count("slot p", p, 1, check_count("n", n) + 1)
     if sig_n.size != y.size**n:
         raise ValueError(f"y must live in R^d for a degree-{n} level over R^d")
     return (sig_n.reshape(y.size ** (p - 1), 1, -1) * y.reshape(1, -1, 1)).ravel()
@@ -151,7 +151,7 @@ def adjoint_oracle(below: np.ndarray, top: np.ndarray, n: int,
     multi-index of the degree-(n+1) level ``top`` with i_p = j, one index
     at a time.
     """
-    _check_slot(n, p)
+    check_count("slot p", p, 1, check_count("n", n) + 1)
     d = top.size // below.size
     out = np.zeros(d)
     for off in range(top.size):
@@ -206,7 +206,7 @@ def insertion_chen_split(path: PiecewiseLinearPath, n: int, p: int, y,
     """
     if not 0.0 < v < 1.0:
         raise ValueError("split point v must lie in (0, 1)")
-    _check_slot(n, p)
+    check_count("slot p", p, 1, check_count("n", n) + 1)
     y = np.asarray(y, dtype=np.float64).ravel()
     d = path.dim
     left = path_signature(restrict(path, 0.0, v), n)

@@ -13,7 +13,6 @@ import numpy as np
 
 from siginvert import (
     PiecewiseLinearPath,
-    adjoint_contract,
     batch_invert,
     constant_speed_reparam,
     develop,
@@ -27,6 +26,7 @@ from siginvert import (
     segment_geometry,
 )
 from siginvert.cli import roundtrip_errors
+from siginvert.insertion import _adjoint_rows
 
 from conftest import random_path, turning_unit_path, unit_speed_two_segment
 from oracles import (
@@ -72,7 +72,8 @@ def test_01_adjoint_identity(rng, capsys):
                     for j in range(d):
                         e = np.zeros(d)
                         e[j] = 1.0
-                        got = adjoint_contract(sig, insertion_apply(sig, e, n, p), n, p)
+                        z = insertion_apply(sig, e, n, p)
+                        got = _adjoint_rows(sig, z, d, n)[p - 1]
                         np.testing.assert_allclose(
                             got, nrm2 * e, rtol=1e-12, atol=1e-12 * nrm2
                         )
@@ -121,12 +122,13 @@ def test_05_residual_envelope(capsys):
             for omega in np.linspace(math.pi / 3.0, 2.0 * math.pi / 3.0, 5):
                 path = unit_speed_two_segment(t1, omega)
                 geom = segment_geometry(path)
+                beta = np.diff(path.points, axis=0) / np.diff(path.times)[:, None]
                 for n in range(math.ceil(2.0 / delta), 15):
                     sig = path_signature(path, n + 1)
                     for i in (1, 2):
                         p = probe_slot(path.times[i - 1], path.times[i], n)
                         resid = insertion_apply(
-                            sig.level(n), geom.slopes[i - 1], n, p
+                            sig.level(n), beta[i - 1], n, p
                         ) - (n + 1) * sig.level(n + 1)
                         width = path.times[i] - path.times[i - 1]
                         bound = residual_envelope_bound(

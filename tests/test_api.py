@@ -17,3 +17,20 @@ def test_all_names_the_api_and_no_module():
     namespace = {}
     exec("from siginvert import *", namespace)
     assert not any(isinstance(v, types.ModuleType) for v in namespace.values())
+
+
+def test_all_is_the_pinned_api():
+    # one way into the slope solve: invert_signature and batch_invert
+    assert siginvert.__all__ == [
+        "AllocationCapError", "AssumptionViolation", "BoundReport",
+        "ErrorComparison", "InputFormatError", "InversionResult",
+        "NormTooSmall", "PiecewiseLinearPath", "SegmentGeometry",
+        "SigInvertError", "TruncatedSignature", "active_backend",
+        "batch_invert", "batch_signature", "compare_recovery",
+        "constant_speed_reparam", "depth_floor", "develop",
+        "develop_checkpoints", "f_map", "get_allocation_cap", "graded_scale",
+        "invert_signature", "k_of_omega", "norm_lower_bound_check",
+        "path_signature", "probe_slot", "recovery_error_bound",
+        "residual_envelope_bound", "segment_geometry", "segment_transport",
+        "set_allocation_cap",
+    ]

@@ -10,6 +10,7 @@ from siginvert import (
     PiecewiseLinearPath,
     compare_recovery,
     depth_floor,
+    invert_signature,
     k_of_omega,
     path_signature,
     probe_slot,
@@ -275,6 +276,17 @@ class TestCompareRecovery:
             rows = compare_recovery(p, depths)
             assert signed == [15]
             assert list(map(repr, rows)) == list(map(repr, per_depth))
+
+    def test_inverts_once_per_depth(self, monkeypatch):
+        # every segment's slope at depth n is read off one inversion of the
+        # levels up to n + 1
+        depths = []
+        monkeypatch.setattr(bounds, "invert_signature", lambda sig: (
+            depths.append(sig.depth - 1) or invert_signature(sig)))
+        p = constant_speed_reparam(unit_zigzag(12))
+        rows = compare_recovery(p, [6, 9, 4])
+        assert depths == [6, 9, 4]
+        assert len(rows) == 36
 
     def test_rows_are_well_formed(self):
         p = unit_speed_two_segment(0.4, math.pi / 2.0)

@@ -8,14 +8,13 @@ from siginvert import (
     NormTooSmall,
     PiecewiseLinearPath,
     TruncatedSignature,
-    adjoint_contract,
     batch_invert,
     constant_speed_reparam,
     graded_scale,
     invert_signature,
     path_signature,
-    solve_slope,
 )
+from siginvert.insertion import _adjoint_rows
 
 from conftest import random_path
 from oracles import (
@@ -26,6 +25,20 @@ from oracles import (
     linear_signature,
     trivial_signature,
 )
+
+
+def adjoint_rows(below, top, n):
+    """Rows 1..n+1 of the adjoint of the insertion into the degree-n
+    level ``below``, applied to the degree-(n+1) level ``top``."""
+    return _adjoint_rows(below, top, top.size // below.size, n)
+
+
+def top_two(below, top, n):
+    """A signature over R^d, d = top.size // below.size, whose levels n and
+    n + 1 are ``below`` and ``top`` and whose lower levels hold ones."""
+    d = top.size // below.size
+    return TruncatedSignature(
+        d, [np.ones(d**k) for k in range(n)] + [below, top])
 
 
 class TestInsertionApply:
@@ -73,8 +86,7 @@ class TestAdjoint:
     def test_scalar_case(self):
         # d=1, n=2: sig = [1/2], z = [1/6]; any slot contracts to 1/12
         sig, z = np.array([0.5]), np.array([1.0 / 6.0])
-        for p in (1, 2, 3):
-            got = adjoint_contract(sig, z, 2, p)
+        for got in adjoint_rows(sig, z, 2):
             assert got[0] == pytest.approx(1.0 / 12.0, rel=1e-15)
 
     def test_adjoint_of_insertion_recovers_scaled_y(self, rng):
@@ -84,7 +96,7 @@ class TestAdjoint:
             y = rng.standard_normal(d)
             for p in range(1, n + 2):
                 z = insertion_apply(sig, y, n, p)
-                got = adjoint_contract(sig, z, n, p)
+                got = adjoint_rows(sig, z, n)[p - 1]
                 np.testing.assert_allclose(
                     got, euclidean_norm(sig) ** 2 * y, rtol=1e-12, atol=1e-14
                 )
@@ -94,9 +106,10 @@ class TestAdjoint:
         sig = rng.standard_normal(2**3)
         y = rng.standard_normal(2)
         z = rng.standard_normal(2**4)
+        rows = adjoint_rows(sig, z, 3)
         for p in range(1, 5):
             lhs = float(insertion_apply(sig, y, 3, p) @ z)
-            rhs = float(y @ adjoint_contract(sig, z, 3, p))
+            rhs = float(y @ rows[p - 1])
             assert lhs == pytest.approx(rhs, rel=1e-12)
 
     @pytest.mark.parametrize("d, n", [(1, 5), (2, 6), (2, 10), (3, 5), (4, 4)])
@@ -108,28 +121,34 @@ class TestAdjoint:
         path_pair = [sig.level(k) / np.abs(sig.level(k)).max() for k in (n, n + 1)]
         random_pair = [rng.standard_normal(d**k) for k in (n, n + 1)]
         for below, top in (random_pair, path_pair):
+            rows = adjoint_rows(below, top, n)
+            assert rows.shape == (n + 1, d)
             for p in range(1, n + 2):
                 np.testing.assert_allclose(
-                    adjoint_contract(below, top, n, p),
-                    adjoint_oracle(below, top, n, p), rtol=1e-12, atol=1e-14)
+                    rows[p - 1], adjoint_oracle(below, top, n, p),
+                    rtol=1e-12, atol=1e-14)
 
     def test_zero_tensor(self, rng):
         sig = rng.standard_normal(2**2)
         z = np.zeros(8)
-        np.testing.assert_array_equal(adjoint_contract(sig, z, 2, 2), [0.0, 0.0])
+        np.testing.assert_array_equal(adjoint_rows(sig, z, 2), np.zeros((3, 2)))
 
 
 class TestSolveSlope:
+    """The slope solve at single slots, through ``invert_signature`` on a
+    signature whose top two levels are the test's levels."""
+
     def test_linear_path_exact(self):
         beta, n = np.array([1.5, -0.25, 0.75]), 4
         sig = linear_signature(beta, 1.0, n + 1)
-        for p in range(1, n + 2):
-            y = solve_slope(sig.level(n), sig.level(n + 1), n, p)
+        slopes = invert_signature(sig).slopes
+        assert slopes.shape == (n + 1, 3)
+        for y in slopes:
             np.testing.assert_allclose(y, beta, rtol=1e-12)
 
     def test_scalar_path(self):
         sig = linear_signature(np.array([1.0]), 1.0, 3)
-        y = solve_slope(sig.level(2), sig.level(3), 2, 1)
+        y = invert_signature(sig).slopes[0]
         assert y[0] == pytest.approx(1.0, rel=1e-14)
 
     def test_is_local_minimum(self, rng):
@@ -137,7 +156,7 @@ class TestSolveSlope:
         p, n = 2, 3
         path = random_path(rng, 3, 2)
         sig = path_signature(path, n + 1)
-        y = solve_slope(sig.level(n), sig.level(n + 1), n, p)
+        y = invert_signature(sig).slopes[p - 1]
 
         def residual(v):
             diff = insertion_apply(sig.level(n), v, n, p) - (n + 1) * sig.level(n + 1)
@@ -152,39 +171,25 @@ class TestSolveSlope:
 
     def test_raises_on_tiny_norm(self):
         with pytest.raises(NormTooSmall):
-            solve_slope(np.zeros(4), np.ones(8), 2, 1)
+            invert_signature(top_two(np.zeros(4), np.ones(8), 2))
 
     @pytest.mark.parametrize("below, top", [
         ([np.nan, 1.0], [1.0] * 4),      # NaN divisor
         ([1e200, 1e200], [1.0] * 4),     # divisor overflows to inf
         ([1e-10, 0.0], [1e300] * 4),     # slope overflows
         ([1.0, 0.0], [np.inf] * 4),      # slope is infinite
-    ], ids=["nan-norm", "inf-norm", "slope-overflow", "inf-slope"])
+        ([1e10, -1e10], [1e308] * 4),    # slope is inf - inf = NaN
+    ], ids=["nan-norm", "inf-norm", "slope-overflow", "inf-slope", "nan-slope"])
     def test_raises_on_non_finite(self, below, top):
+        # a level that is not finite is refused when the signature is made,
+        # so it never reaches the solve; finite levels that overflow do
+        below, top = np.array(below), np.array(top)
+        if not np.isfinite(np.concatenate([below, top])).all():
+            with pytest.raises(ValueError, match="level [12] has a non-finite"):
+                top_two(below, top, 1)
+            return
         with pytest.raises(NormTooSmall):
-            solve_slope(np.array(below), np.array(top), 1, 1)
-
-    def test_rejects_mismatched_levels(self, rng):
-        with pytest.raises(ValueError):
-            solve_slope(rng.standard_normal(2**2), rng.standard_normal(2**2), 2, 1)
-        with pytest.raises(ValueError):
-            solve_slope(rng.standard_normal(2**2), rng.standard_normal(2**3), 2, 4)
-        # d = 1: every level has one entry
-        with pytest.raises(ValueError, match="slot"):
-            adjoint_contract(np.array([0.5]), np.array([1.0 / 6.0]), 2, 4)
-        with pytest.raises(ValueError, match="degrees 2 and 3"):
-            solve_slope(np.array([0.5]), np.array([1.0, 2.0]), 2, 1)
-
-    def test_bitwise_equal_to_inversion_slopes(self, rng):
-        # one slot solved alone reads its row off the same block product as
-        # inside the full inversion
-        shapes = [(d, n) for d in (1, 2, 3) for n in range(2, 9)]
-        for d, n in shapes + [(2, 14), (3, 9), (4, 6)]:
-            sig = path_signature(random_path(rng, 4, d), n)
-            slopes = invert_signature(sig).slopes
-            for p in range(1, n + 1):
-                y = solve_slope(sig.level(n - 1), sig.level(n), n - 1, p)
-                np.testing.assert_array_equal(y, slopes[p - 1])
+            invert_signature(top_two(below, top, 1))
 
 
 class TestInvertSignature:
@@ -380,16 +385,10 @@ class TestGuardIsScaleFree:
         # float64's normal range
         top = np.full(8, 1e-150)
         normal, subnormal = np.full(4, 1e-150), np.full(4, 1e-160)
-        np.testing.assert_allclose(solve_slope(normal, top, 2, 1), [3.0, 3.0],
-                                   rtol=1e-15)
-        sig = TruncatedSignature(2, [[1.0], [1.0, 1.0], normal, top])
-        np.testing.assert_allclose(invert_signature(sig).slopes, 3.0,
-                                   rtol=1e-15)
+        np.testing.assert_allclose(invert_signature(top_two(normal, top, 2)).slopes,
+                                   3.0, rtol=1e-15)
         with pytest.raises(NormTooSmall, match="not a normal float64"):
-            solve_slope(subnormal, top, 2, 1)
-        with pytest.raises(NormTooSmall):
-            invert_signature(
-                TruncatedSignature(2, [[1.0], [1.0, 1.0], subnormal, top]))
+            invert_signature(top_two(subnormal, top, 2))
 
 
 class TestBatchInvert:
@@ -445,9 +444,10 @@ class TestBlockBoundaries:
         y = rng.standard_normal(d)
         tol = rounding_tol(d, n, euclidean_norm(below) * np.linalg.norm(y)
                            * euclidean_norm(z))
+        rows = adjoint_rows(below, z, n - 1)
         for p in range(1, n + 1):
             lhs = float(insertion_apply(below, y, n - 1, p) @ z)
-            rhs = float(y @ adjoint_contract(below, z, n - 1, p))
+            rhs = float(y @ rows[p - 1])
             assert abs(lhs - rhs) <= tol, p
 
     def test_batch_bitwise_equal_to_loop(self, rng):

@@ -441,8 +441,10 @@ class TestConstantSpeedReparam:
 
     def test_all_slopes_have_norm_ell(self, rng):
         p = random_path(rng, 5, 3)
-        geom = segment_geometry(constant_speed_reparam(p))
-        norms = np.linalg.norm(geom.slopes, axis=1)
+        q = constant_speed_reparam(p)
+        slopes = np.diff(q.points, axis=0) / np.diff(q.times)[:, None]
+        norms = np.linalg.norm(slopes, axis=1)
+        geom = segment_geometry(q)
         np.testing.assert_allclose(norms, geom.total_variation, rtol=1e-12)
 
     def test_signature_invariant(self, rng):
@@ -522,7 +524,19 @@ class TestSegmentGeometry:
         p = PiecewiseLinearPath([[0, 0], [1, 0], [1, 0], [1, 1]],
                                 [0.0, 0.3, 0.6, 1.0])
         geom = segment_geometry(p)
-        np.testing.assert_allclose(geom.slopes, [[1 / 0.3, 0.0], [0.0, 2.5]],
+        slopes = np.diff(p.points, axis=0) / np.diff(p.times)[:, None]
+        np.testing.assert_allclose(slopes[[0, 2]], [[1 / 0.3, 0.0], [0.0, 2.5]],
                                    rtol=1e-15)
         np.testing.assert_array_equal(geom.lengths, [1.0, 1.0])
         assert geom.angles[0] == pytest.approx(math.pi / 2, abs=1e-12)
+
+    def test_reads_no_times(self):
+        # a step of 1e-310 would overflow a slope; lengths and angles are
+        # those of the same points on the default times
+        p = PiecewiseLinearPath([[0, 0], [1, 0], [1, 1]], [0.0, 1e-310, 1.0])
+        geom = segment_geometry(p)
+        want = segment_geometry(PiecewiseLinearPath(p.points))
+        np.testing.assert_array_equal(geom.lengths, want.lengths)
+        np.testing.assert_array_equal(geom.angles, want.angles)
+        assert (geom.total_variation, geom.min_angle) == \
+            (want.total_variation, want.min_angle)

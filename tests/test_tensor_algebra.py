@@ -10,8 +10,8 @@ from siginvert import (
     AllocationCapError,
     PiecewiseLinearPath,
     TruncatedSignature,
-    adjoint_contract,
     batch_signature,
+    compare_recovery,
     depth_floor,
     graded_scale,
     path_signature,
@@ -19,7 +19,6 @@ from siginvert import (
     recovery_error_bound,
     residual_envelope_bound,
     set_allocation_cap,
-    solve_slope,
 )
 from siginvert.fileio import read_signatures_json
 from siginvert.tensor_algebra import (
@@ -214,11 +213,6 @@ class TestAllocationCap:
                 path_signature(path, 2**53)
         finally:
             set_allocation_cap(previous)
-        with pytest.raises(ValueError, match="degrees 9007199254740992 and"):
-            adjoint_contract(np.ones(2), np.ones(4), 2**53, 1)
-        # over R^1 every level has one entry, at any degree
-        assert adjoint_contract(np.array([0.5]), np.array([0.25]),
-                                2**53, 2**53 + 1) == [0.125]
 
     def test_signature_validates_levels(self):
         for dim, levels in [(2, [[1.0], [1.0, 2.0, 3.0]]), (0, [[1.0]]),
@@ -247,7 +241,6 @@ def _kept_none(call):
 
 
 _PATH = PiecewiseLinearPath([[0.0, 0.0], [1.0, 0.5], [0.5, 2.0]])
-_BELOW, _TOP = np.array([0.5]), np.array([1.0 / 6.0])  # d = 1, n = 2
 
 # Every count argument: the name its ValueError gives, its floor, whether
 # check_count bounds it by 2**53 (the allocation cap bounds dim instead),
@@ -261,10 +254,8 @@ COUNT_ARGUMENTS = {
         "depth", 0, True, lambda v: batch_signature([_PATH], v)[0].depth),
     "path_signature depth": (
         "depth", 0, True, lambda v: path_signature(_PATH, v).depth),
-    "adjoint_contract n": (
-        "n", 0, True, _kept_none(lambda v: adjoint_contract(_BELOW, _TOP, v, 1))),
-    "solve_slope p": (
-        "slot p", 1, True, _kept_none(lambda v: solve_slope(_BELOW, _TOP, 2, v))),
+    "compare_recovery n": (
+        "n", 1, True, _kept_none(lambda v: compare_recovery(_PATH, [v]))),
     "recovery_error_bound segments": (
         "segments", 1, True,
         _kept_none(lambda v: recovery_error_bound(1.0, v, 1.0, 0.5, 4))),
