@@ -24,7 +24,7 @@ from .errors import (
     InputFormatError,
     NormTooSmall,
 )
-from .insertion import invert_signature
+from .insertion import _outcomes, invert_signature
 from .signature import (
     PiecewiseLinearPath,
     _segment_lengths,
@@ -118,13 +118,14 @@ def cmd_invert(args) -> int:
     dim = sigs[0][1].dim
     start = _parse_start(args.start, dim)
     ok_records, errors = [], {}
-    # per-record failures, a dim other than the first record's among them,
-    # become error rows; other records are unaffected
-    for pid, sig in sigs:
-        try:
-            ok_records.append((pid, invert_signature(sig, start=start).path))
-        except (NormTooSmall, ValueError) as exc:
-            errors[pid] = str(exc)
+    # one grouped solve; per-record failures, a dim other than the first
+    # record's among them, become error rows, and other records are unaffected
+    found = _outcomes([sig for _, sig in sigs], [start] * len(sigs))
+    for (pid, _), res in zip(sigs, found):
+        if isinstance(res, Exception):
+            errors[pid] = str(res)
+        else:
+            ok_records.append((pid, res.path))
     with _output(args) as out:
         fileio.write_paths_csv(out, ok_records, errors, dim=dim)
     return EXIT_OK

@@ -12,6 +12,7 @@ scratch array, so each numpy call runs over all the paths of a chunk;
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -25,13 +26,23 @@ from .tensor_algebra import (TruncatedSignature, check_allocation, check_count,
 ANGLE_TOL = 1e-9
 
 
+@functools.lru_cache(maxsize=16)
+def _uniform_grid(m: int) -> np.ndarray:
+    """The times i/m, i = 0..m, shared by every path of m segments built
+    without times: held in an immutable bytes buffer, so neither the grid
+    nor a view of it can be made writeable again."""
+    return np.frombuffer(np.linspace(0.0, 1.0, m + 1).tobytes())
+
+
 @dataclass(frozen=True)
 class PiecewiseLinearPath:
     """Ordered points in R^d with strictly increasing times.
 
-    Times default to the uniform grid i/M on [0, 1].  Fewer than 2 points,
-    a point that is not finite, a times array of another length, and times
-    that are not finite and strictly increasing raise ValueError.
+    Times default to the uniform grid i/M on [0, 1], a read-only view of
+    one grid cached per M, which no caller can make writeable.  Fewer
+    than 2 points, a point that is not finite, a times array of another
+    length, and times that are not finite and strictly increasing raise
+    ValueError.
     """
 
     points: np.ndarray
@@ -48,7 +59,8 @@ class PiecewiseLinearPath:
         object.__setattr__(self, "points", pts)
         m = pts.shape[0] - 1
         if self.times is None:
-            t = np.linspace(0.0, 1.0, m + 1)
+            # a view, so that setting its shape leaves the shared grid alone
+            t = _uniform_grid(m).view()
         else:
             t = np.array(self.times, dtype=np.float64)
             if t.shape != (m + 1,):

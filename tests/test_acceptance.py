@@ -73,7 +73,7 @@ def test_01_adjoint_identity(rng, capsys):
                         e = np.zeros(d)
                         e[j] = 1.0
                         z = insertion_apply(sig, e, n, p)
-                        got = _adjoint_rows(sig, z, d, n)[p - 1]
+                        got = _adjoint_rows([sig], [z], d, n)[0, p - 1]
                         np.testing.assert_allclose(
                             got, nrm2 * e, rtol=1e-12, atol=1e-12 * nrm2
                         )

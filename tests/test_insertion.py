@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 
@@ -9,6 +10,7 @@ from siginvert import (
     PiecewiseLinearPath,
     TruncatedSignature,
     batch_invert,
+    batch_signature,
     constant_speed_reparam,
     graded_scale,
     invert_signature,
@@ -29,8 +31,9 @@ from oracles import (
 
 def adjoint_rows(below, top, n):
     """Rows 1..n+1 of the adjoint of the insertion into the degree-n
-    level ``below``, applied to the degree-(n+1) level ``top``."""
-    return _adjoint_rows(below, top, top.size // below.size, n)
+    level ``below``, applied to the degree-(n+1) level ``top``: the group
+    kernel on a group of one."""
+    return _adjoint_rows([below], [top], top.size // below.size, n)[0]
 
 
 def top_two(below, top, n):
@@ -425,6 +428,23 @@ class TestBatchInvert:
     def test_empty_batch(self):
         assert batch_invert([]) == []
 
+    def test_first_failure_raises_as_alone(self, rng):
+        # a bad start, a depth-1 signature and all-zero levels, in every
+        # order behind a good record: the batch raises the exception the
+        # first failing record raises alone, type and message
+        good = path_signature(random_path(rng, 3, 2), 6)
+        failing = [(good, [np.nan, 0.0]),
+                   (linear_signature(np.array([1.0, 0.0]), 1.0, 1), None),
+                   (trivial_signature(2, 4), None)]
+        for order in itertools.permutations(failing):
+            with pytest.raises((ValueError, NormTooSmall)) as alone:
+                invert_signature(*order[0])
+            sigs, starts = zip((good, None), *order)
+            with pytest.raises(type(alone.value)) as batch:
+                batch_invert(sigs, starts)
+            assert type(batch.value) is type(alone.value)
+            assert str(batch.value) == str(alone.value)
+
 
 # (d, n) of inverted signatures, across the block boundaries of their top
 # level (degree n over degree n - 1), where a head or tail of at most 16
@@ -435,8 +455,13 @@ BLOCK_SHAPES = [(1, 40), (2, 3), (2, 6), (2, 14), (3, 4), (3, 9), (4, 5),
                 (5, 4)]
 
 
+# (d, n) whose middle slots fit one window product, (2, 12), or do not,
+# (2, 16) and (2, 17); and (16, 3), whose 100 records span several chunks
+BATCH_SHAPES = BLOCK_SHAPES + [(2, 12), (2, 16), (2, 17), (16, 3)]
+
+
 class TestBlockBoundaries:
-    @pytest.mark.parametrize("d, n", BLOCK_SHAPES)
+    @pytest.mark.parametrize("d, n", BATCH_SHAPES)
     def test_adjoint_of_dense_insertion_at_every_slot(self, rng, d, n):
         # <insert_p(y), z> == <y, adjoint_p(z)>, within the worst-case
         # rounding of a sum of d**n products (Cauchy-Schwarz bounds each)
@@ -449,6 +474,19 @@ class TestBlockBoundaries:
             lhs = float(insertion_apply(below, y, n - 1, p) @ z)
             rhs = float(y @ rows[p - 1])
             assert abs(lhs - rhs) <= tol, p
+
+    @pytest.mark.parametrize("d, n", BATCH_SHAPES)
+    def test_record_bits_do_not_depend_on_batch_size(self, rng, d, n):
+        # the rows are summed in an order that does not change with the
+        # number of records, so the first three records are the same bits
+        # in batches of 1, 2, 3 and 100
+        sigs = batch_signature([random_path(rng, 4, d) for _ in range(100)], n)
+        starts = rng.standard_normal((100, d))
+        full = batch_invert(sigs, starts)
+        for size in (1, 2, 3):
+            for a, b in zip(batch_invert(sigs[:size], starts[:size]), full):
+                np.testing.assert_array_equal(a.slopes, b.slopes)
+                np.testing.assert_array_equal(a.path.points, b.path.points)
 
     def test_batch_bitwise_equal_to_loop(self, rng):
         sigs = [path_signature(random_path(rng, 4, d), n)

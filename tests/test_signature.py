@@ -410,6 +410,16 @@ class TestPathChecks:
         times[1] = 0.25
         assert path.times[1] == 0.5
 
+    def test_default_times_are_a_shared_grid_no_caller_can_write(self):
+        # paths of one segment count built without times share one grid
+        path, other = PiecewiseLinearPath(np.zeros((4, 2))), \
+            PiecewiseLinearPath(np.ones((4, 1)))
+        np.testing.assert_array_equal(path.times, np.linspace(0.0, 1.0, 4))
+        with pytest.raises(ValueError, match="WRITEABLE"):
+            path.times.setflags(write=True)
+        path.times.shape = (2, 2)
+        assert other.times.shape == (4,)
+
 
 class TestSegmentLengths:
     def test_equal_plain_norm_bitwise(self, rng):
