@@ -9,23 +9,18 @@ the insertion.  An inversion sweeps p = 1..n over the top two levels of a
 signature and integrates the slopes on the uniform grid p/n.
 
 ``batch_invert`` groups its records by (d, n) and solves each group in
-chunks: the contraction ``_adjoint_rows`` writes each record's block
-products into buffers shared by the chunk and reads the rows of all its
-records off them with one gather per buffer, and the divisions, the
-integration and the float64 guard run over the whole chunk at once.
-``invert_signature`` is the batch of one record, so a record inverts to
-the same bits alone and in any batch.
+chunks: ``_adjoint_rows`` writes each record's window products into one
+buffer shared by the chunk and reads the rows of all its records off it,
+and the divisions, the integration and the float64 guard run over the
+whole chunk at once.  ``invert_signature`` is the batch of one record, so
+a record inverts to the same bits alone and in any batch.
 
-``_adjoint_rows`` splits the slots of a level three ways by k, the largest
-degree up to 4 (and up to n) with d**k <= 16.  The head slots p <= k + 1,
-whose head (the indices before slot p) holds at most d**k entries, read
-their rows off one BLAS product per record; the tail slots, whose tail
-(the indices after the slot) holds at most d**k entries, read theirs off
-a second one.  The middle slots between them read theirs off a third
-product when two or more of them fit one window of w indices with
-d**w <= 16, and are contracted by einsum, one call each, otherwise.  A
-product does up to 16 times the multiply-adds of one slot, but saves
-einsum's per-call cost and its slow inner loop over a short tail.
+``_adjoint_rows`` cuts the slots of a level into a chain of windows of at
+most k + 1 slots, k the largest degree up to 4 (and up to n) with
+d**k <= 16, and reads every slot's row off one BLAS product of its
+window.  A window of w + 1 slots costs d**w times one slot's
+multiply-adds, but saves a contraction per slot and its slow inner loop
+over a short head or tail.
 """
 
 from __future__ import annotations
@@ -40,10 +35,9 @@ from .errors import NormTooSmall
 from .signature import _BATCH_SCRATCH, PiecewiseLinearPath
 from .tensor_algebra import TruncatedSignature
 
-# Longest head or tail, in entries, that one BLAS product serves.  A slot
-# in a block costs up to this many times its own multiply-adds; 16 beat 8,
-# 32 and 64 at (d, n) = (2, 14) and (3, 9), while 32 and 64 ran up to 6%
-# faster at (3, 12).
+# Most entries in the indices of one window, whose product costs up to
+# this many times one slot's multiply-adds; 16 beat 8, 32 and 64 at
+# (d, n) = (2, 14) and (3, 9).
 _BLOCK = 16
 
 
@@ -72,29 +66,36 @@ def _block_entries(d: int, k: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=64)
-def _slot_entries(d: int, n: int) -> np.ndarray:
-    """Flat positions, in a record's head product followed by its tail
-    product (k = _block_degree(d, n)), of the entries each block slot of
-    the degree-n level sums: the head slots p <= k + 1 off the head
-    product, then the other slots with n + 1 - p <= k off the tail
-    product; shape (slots, d, d**k)."""
+def _window_table(d: int, n: int) -> tuple:
+    """The chain of windows that the n + 1 slots of a degree-n level are
+    read off, as (windows, reads, size).
+
+    The head window holds the first k + 1 slots, k = _block_degree(d, n),
+    and the tail window the last k + 1, less those the head holds; the
+    slots between are cut into the fewest windows of at most k + 1 slots,
+    of sizes that differ by at most one.  The window of w + 1 slots after
+    the first s indices is (d**s, d**w, d**(w+1), offset) in ``windows``:
+    its block product lies at ``offset`` in a record's buffer of ``size``
+    entries.  ``reads`` pairs, per w, the slots of the degree-w windows
+    with their entries in that buffer, of shape (slots, d, d**w)."""
     k = _block_degree(d, n)
-    pick = _block_entries(d, k)
-    skip = max(0, 2 * k + 1 - n)  # tail slots the head product holds
-    out = np.concatenate([pick, pick[skip:] + d ** (2 * k + 1)])
-    out.flags.writeable = False
-    return out
-
-
-def _read_off(blocks: np.ndarray, pick: np.ndarray) -> np.ndarray:
-    """Rows, shape (N, slots, d), of the N records' block products
-    ``blocks``, each the sum of the entries that ``pick`` (of shape
-    (slots, d, L)) lists.  The sums run over the rows of one 2-d array,
-    whose summation order does not change with N, so that a record's bits
-    do not change with the size of its batch."""
-    n = len(blocks)
-    sums = blocks.reshape(n, -1).take(pick, axis=1).reshape(-1, pick.shape[2])
-    return sums.sum(axis=1).reshape(n, -1, pick.shape[1])
+    middle = max(0, n - 2 * k - 1)
+    cuts = -(-middle // (k + 1))
+    degrees = [middle // cuts + (j < middle % cuts) - 1 for j in range(cuts)]
+    windows, reads, size, p = [], {}, 0, 0
+    for w in [k] + degrees + [k] * (k < n):
+        s = min(p, n - w)  # the tail window ends at the last index
+        windows.append((d**s, d**w, d ** (w + 1), size))
+        slots, picks = reads.setdefault(w, ([], []))
+        slots.extend(range(p, s + w + 1))
+        picks.append(_block_entries(d, w)[p - s:] + size)
+        size += d ** (2 * w + 1)
+        p = s + w + 1
+    reads = tuple((np.array(slots), np.concatenate(picks))
+                  for slots, picks in reads.values())
+    for array in (a for read in reads for a in read):
+        array.flags.writeable = False
+    return tuple(windows), reads, size
 
 
 def _adjoint_rows(belows, tops, d: int, n: int) -> np.ndarray:
@@ -103,59 +104,55 @@ def _adjoint_rows(belows, tops, d: int, n: int) -> np.ndarray:
     of ``tops`` at the same position: shape (N, n + 1, d).
 
     With top seen as (head, j, tail) and below as (head, tail), component
-    j sums top[a, j, b] * below[a, b] over head a and tail b.  With
-    k = _block_degree(d, n), two (d**k, d**(k+1)) products per record hold
-    these sums for the block slots, spread over the entries that
-    _slot_entries lists:
+    j sums top[a, j, b] * below[a, b] over head a and tail b.  A window of
+    _window_table(d, n) splits the indices into the H before it, its w
+    and the T after it, and its (d**w, d**(w+1)) block product
 
-    - the head slots p <= k + 1, in below(d**k, .) @ top(d**(k+1), .)^T,
-      which contracts the last n - k indices;
-    - the other slots with n + 1 - p <= k, the tail slots, in
-      below(., d**k)^T @ top(., d**(k+1)), which contracts the first
-      n - k indices (none when k == n, where the head holds every slot).
+        sum over h < H and t < T of below[h, :, t] (x) top[h, :, t]
 
-    The w + 1 middle slots p = k+2..n-k, when w >= 1 and d**w <= _BLOCK,
-    read theirs off sum_a below(a, d**w, .) @ top(a, d**(w+1), .)^T over
-    the d**(k+1) heads a, which contracts the indices before and after
-    the window; otherwise each keeps one einsum call.  A single middle
-    slot ran faster by einsum than by the product at d = 2..6.
+    holds these sums for its w + 1 slots at the entries _block_entries
+    lists.  The head window (H = 1) is one product over the tails, the
+    tail window (T = 1) one over the heads, and any other the sum of its
+    heads' products, in runs whose stack holds at most _BATCH_SCRATCH
+    coefficients.  Each row sums its entries along a row of one 2-d
+    array, in an order that does not change with N, so that a record's
+    bits do not change with the size of its batch.
     """
     count = len(belows)
-    k = _block_degree(d, n)
-    bk, bk1 = d**k, d ** (k + 1)
-    blocks = np.empty((count, 2, bk, bk1))
-    middle = range(k + 2, n + 1 - k)
-    w = len(middle) - 1
-    window = w >= 1 and d**w <= _BLOCK
-    if window:
-        dw, dw1 = d**w, d ** (w + 1)
-        stack = np.empty((bk1, dw, dw1))
-        mid = np.empty((count, dw, dw1))
-    elif middle:
-        rows = np.empty((count, n + 1, d))
+    windows, reads, size = _window_table(d, n)
+    blocks = np.empty((count, size))
+    stack = np.empty(min(_BATCH_SCRATCH, max(
+        (heads * dw * dw1 for heads, dw, dw1, _ in windows
+         if 1 < heads < d**n // dw), default=0)))
+    plan = []  # with a middle window, its runs of heads and their stacks
+    for heads, dw, dw1, off in windows:
+        run = stack.size // (dw * dw1)
+        runs = [(slice(h, h + run), stack[:min(run, heads - h) * dw * dw1]
+                 .reshape(-1, dw, dw1)) for h in range(0, heads, run)
+                ] if 1 < heads < d**n // dw else None
+        plan.append((heads, dw, dw1, runs,
+                     blocks[:, off:off + dw * dw1].reshape(-1, dw, dw1)))
     for i, (below, top) in enumerate(zip(belows, tops)):
-        np.matmul(below.reshape(bk, -1), top.reshape(bk1, -1).T,
-                  out=blocks[i, 0])
-        if k < n:  # else no slot reads the tail product
-            np.matmul(below.reshape(-1, bk).T, top.reshape(-1, bk1),
-                      out=blocks[i, 1])
-        if window:
-            np.matmul(below.reshape(bk1, dw, -1),
-                      top.reshape(bk1, dw1, -1).transpose(0, 2, 1), out=stack)
-            stack.sum(axis=0, out=mid[i])
-        else:
-            for p in middle:
-                pre = d ** (p - 1)
-                np.einsum("ajb,ab->j", top.reshape(pre, d, -1),
-                          below.reshape(pre, -1), out=rows[i, p - 1])
-    read = _read_off(blocks, _slot_entries(d, n))
-    if not middle:
-        return read
-    if window:
-        rows = _read_off(mid, _block_entries(d, w))
-        return np.concatenate([read[:, :k + 1], rows, read[:, k + 1:]], axis=1)
-    rows[:, :k + 1] = read[:, :k + 1]
-    rows[:, n - k:] = read[:, k + 1:]
+        for heads, dw, dw1, runs, out in plan:
+            if heads == 1:
+                np.matmul(below.reshape(dw, -1), top.reshape(dw1, -1).T,
+                          out=out[i])
+            elif runs is None:
+                np.matmul(below.reshape(heads, dw).T, top.reshape(heads, dw1),
+                          out=out[i])
+            else:
+                below3 = below.reshape(heads, dw, -1)
+                top3 = top.reshape(heads, dw1, -1).transpose(0, 2, 1)
+                for cut, part in runs:
+                    np.matmul(below3[cut], top3[cut], out=part)
+                    if cut.start:
+                        out[i] += part.sum(axis=0)
+                    else:
+                        part.sum(axis=0, out=out[i])
+    rows = np.empty((count, n + 1, d))
+    for slots, pick in reads:
+        sums = blocks.take(pick, axis=1).reshape(-1, pick.shape[2]).sum(axis=1)
+        rows[:, slots] = sums.reshape(count, -1, d)
     return rows
 
 
@@ -213,7 +210,8 @@ def _outcomes(sigs, starts=None) -> list:
     ``siginvert invert`` writes each as an error row.
 
     Records are grouped by (d, n) and each group is solved in chunks
-    whose buffers stay under _BATCH_SCRATCH coefficients.
+    whose buffers stay under _BATCH_SCRATCH coefficients, and whose stack
+    of head products in ``_adjoint_rows`` stays under as many again.
     """
     sigs = list(sigs)
     starts = [None] * len(sigs) if starts is None else list(starts)
@@ -229,9 +227,9 @@ def _outcomes(sigs, starts=None) -> list:
         else:
             groups.setdefault((sig.dim, sig.depth), []).append((i, sig, start))
     for (d, n), members in groups.items():
-        # a block product holds at most _BLOCK**2 * d entries; three block
-        # buffers, then rows, slopes and points, per record
-        chunk = max(1, _BATCH_SCRATCH // (3 * d * (_BLOCK**2 + n + 1)))
+        # per record: one block per window, then rows, slopes and points
+        size = _window_table(d, n - 1)[2] + 3 * d * (n + 1)
+        chunk = max(1, _BATCH_SCRATCH // size)
         for lo in range(0, len(members), chunk):
             idx, part, part_starts = zip(*members[lo:lo + chunk])
             solved = _solve(part, part_starts, d, n)

@@ -1,6 +1,7 @@
 import itertools
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from siginvert import (
     invert_signature,
     path_signature,
 )
-from siginvert.insertion import _adjoint_rows
+from siginvert.insertion import _BATCH_SCRATCH, _adjoint_rows
 
 from conftest import random_path
 from oracles import (
@@ -117,8 +118,8 @@ class TestAdjoint:
 
     @pytest.mark.parametrize("d, n", [(1, 5), (2, 6), (2, 10), (3, 5), (4, 4)])
     def test_matches_dense_oracle_at_every_slot(self, rng, d, n):
-        # each shape with d > 1 has head slots and tail slots, read off one
-        # BLAS product each; (2, 10) has a middle slot too
+        # each shape has a head window and a tail window, and (2, 10) a
+        # one-slot middle window between them
         sig = path_signature(random_path(rng, 4, d), n + 1)
         # the adjoint is bilinear; unit-scale path levels keep atol relative
         path_pair = [sig.level(k) / np.abs(sig.level(k)).max() for k in (n, n + 1)]
@@ -446,22 +447,29 @@ class TestBatchInvert:
             assert str(batch.value) == str(alone.value)
 
 
-# (d, n) of inverted signatures, across the block boundaries of their top
-# level (degree n over degree n - 1), where a head or tail of at most 16
-# entries puts a slot in a block: head slots alone at (1, 40) and (2, 3),
-# head and tail slots meeting at (2, 6), (3, 4), (4, 5) and (5, 4), and
-# head, middle and tail slots at (2, 14) and (3, 9)
-BLOCK_SHAPES = [(1, 40), (2, 3), (2, 6), (2, 14), (3, 4), (3, 9), (4, 5),
-                (5, 4)]
+# the 98 signature shapes (d, n) with d**(n + 1) <= 2**16 (d = 1..16,
+# n >= 2, n <= 40 at d = 1): a level's slots in a head window alone, in
+# head and tail windows, or in a chain with middle windows between them;
+# the 64 records of (16, 3) span several chunks
+SHAPES = [(d, n) for d in range(1, 17) for n in range(2, 41)
+          if d ** (n + 1) <= 2**16]
+
+# deeper shapes with two middle windows; at (2, 20) the last one's 2**10
+# heads take two runs of the kernel's stack
+DEEP_SHAPES = [(2, 16), (2, 17), (2, 18), (2, 20)]
 
 
-# (d, n) whose middle slots fit one window product, (2, 12), or do not,
-# (2, 16) and (2, 17); and (16, 3), whose 100 records span several chunks
-BATCH_SHAPES = BLOCK_SHAPES + [(2, 12), (2, 16), (2, 17), (16, 3)]
+def sweep_paths(rng, count, d):
+    """``count`` random 4-segment paths in R^d that are not tree-like,
+    monotone at d = 1, so that their top levels are not rounding noise."""
+    if d == 1:
+        return [PiecewiseLinearPath(np.cumsum(rng.random((5, 1)), axis=0))
+                for _ in range(count)]
+    return [random_path(rng, 4, d) for _ in range(count)]
 
 
 class TestBlockBoundaries:
-    @pytest.mark.parametrize("d, n", BATCH_SHAPES)
+    @pytest.mark.parametrize("d, n", SHAPES + DEEP_SHAPES)
     def test_adjoint_of_dense_insertion_at_every_slot(self, rng, d, n):
         # <insert_p(y), z> == <y, adjoint_p(z)>, within the worst-case
         # rounding of a sum of d**n products (Cauchy-Schwarz bounds each)
@@ -475,26 +483,51 @@ class TestBlockBoundaries:
             rhs = float(y @ rows[p - 1])
             assert abs(lhs - rhs) <= tol, p
 
-    @pytest.mark.parametrize("d, n", BATCH_SHAPES)
+    @pytest.mark.parametrize("d, n", SHAPES + DEEP_SHAPES)
     def test_record_bits_do_not_depend_on_batch_size(self, rng, d, n):
         # the rows are summed in an order that does not change with the
         # number of records, so the first three records are the same bits
-        # in batches of 1, 2, 3 and 100
-        sigs = batch_signature([random_path(rng, 4, d) for _ in range(100)], n)
-        starts = rng.standard_normal((100, d))
+        # in batches of 1, 2, 3 and the full batch of 4 to 100
+        count = max(4, min(100, 2**18 // d**n))
+        sigs = batch_signature(sweep_paths(rng, count, d), n)
+        starts = rng.standard_normal((count, d))
         full = batch_invert(sigs, starts)
         for size in (1, 2, 3):
             for a, b in zip(batch_invert(sigs[:size], starts[:size]), full):
                 np.testing.assert_array_equal(a.slopes, b.slopes)
                 np.testing.assert_array_equal(a.path.points, b.path.points)
 
+    @pytest.mark.parametrize("d, n", SHAPES + DEEP_SHAPES)
+    def test_endpoint_matches_level_one(self, rng, d, n):
+        # sum_p y_p = n X^1 by the shuffle identity, so the end point is X^1
+        # up to the rounding of the slopes and of their n steps; a slot
+        # read off the wrong entries moves it by about length / n
+        paths = sweep_paths(rng, 3, d)
+        for path, res in zip(paths, batch_invert(batch_signature(paths, n))):
+            np.testing.assert_allclose(
+                res.path.points[-1], path.points[-1] - path.points[0], rtol=0,
+                atol=rounding_tol(d, n, n * _length(path)))
+
     def test_batch_bitwise_equal_to_loop(self, rng):
-        sigs = [path_signature(random_path(rng, 4, d), n)
-                for d, n in BLOCK_SHAPES * 2]
+        sigs = [path_signature(sweep_paths(rng, 1, d)[0], n)
+                for d, n in SHAPES * 2]
         loop = [invert_signature(s) for s in sigs]
         for a, b in zip(batch_invert(sigs), loop):
             np.testing.assert_array_equal(a.path.points, b.path.points)
             np.testing.assert_array_equal(a.slopes, b.slopes)
+
+    def test_kernel_scratch_stays_bounded(self, rng):
+        # a middle window's stack of head products is cut into runs of at
+        # most _BATCH_SCRATCH coefficients: at (2, 20) the last middle
+        # window's 2**10 heads would take twice that in one stack
+        sig = path_signature(sweep_paths(rng, 1, 2)[0], 20)
+        tracemalloc.start()
+        try:
+            batch_invert([sig, sig])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * 8 * _BATCH_SCRATCH
 
 
 class TestChenSplitIdentity:
