@@ -15,12 +15,10 @@ and the divisions, the integration and the float64 guard run over the
 whole chunk at once.  ``invert_signature`` is the batch of one record, so
 a record inverts to the same bits alone and in any batch.
 
-``_adjoint_rows`` cuts the slots of a level into a chain of windows of at
-most k + 1 slots, k the largest degree up to 4 (and up to n) with
-d**k <= 16, and reads every slot's row off one BLAS product of its
-window.  A window of w + 1 slots costs d**w times one slot's
-multiply-adds, but saves a contraction per slot and its slow inner loop
-over a short head or tail.
+``_adjoint_rows`` cuts the slots of a level into a chain of windows of
+at most k + 1 slots, d**k <= 16, and reads every slot's row off one BLAS
+product of its window: a window of w + 1 slots costs d**w times one
+slot's multiply-adds, but saves a contraction per slot.
 """
 
 from __future__ import annotations
@@ -68,34 +66,42 @@ def _block_entries(d: int, k: int) -> np.ndarray:
 @functools.lru_cache(maxsize=64)
 def _window_table(d: int, n: int) -> tuple:
     """The chain of windows that the n + 1 slots of a degree-n level are
-    read off, as (windows, reads, size).
+    read off, as (windows, reads, size, scratch).
 
     The head window holds the first k + 1 slots, k = _block_degree(d, n),
-    and the tail window the last k + 1, less those the head holds; the
-    slots between are cut into the fewest windows of at most k + 1 slots,
-    of sizes that differ by at most one.  The window of w + 1 slots after
-    the first s indices is (d**s, d**w, d**(w+1), offset) in ``windows``:
-    its block product lies at ``offset`` in a record's buffer of ``size``
-    entries.  ``reads`` pairs, per w, the slots of the degree-w windows
-    with their entries in that buffer, of shape (slots, d, d**w)."""
+    the tail window the last k + 1 less those the head holds, and the
+    fewest windows of at most k + 1 slots, of sizes that differ by at most
+    one, those between.  The window of w + 1 slots after the first s
+    indices is (d**s, d**w, d**(w+1), offset, runs): its block product
+    lies at ``offset`` in a record's buffer of ``size`` entries, and
+    ``runs`` cuts its d**s heads into (heads, stack entries) that fit
+    ``scratch`` coefficients, or is None for the head and tail windows,
+    one product each.  ``reads`` pairs, per w, the slots of the degree-w
+    windows with their entries in that buffer, of shape (slots, d, d**w)."""
     k = _block_degree(d, n)
     middle = max(0, n - 2 * k - 1)
     cuts = -(-middle // (k + 1))
     degrees = [middle // cuts + (j < middle % cuts) - 1 for j in range(cuts)]
-    windows, reads, size, p = [], {}, 0, 0
+    windows, reads, size, scratch, p = [], {}, 0, 0, 0
     for w in [k] + degrees + [k] * (k < n):
         s = min(p, n - w)  # the tail window ends at the last index
-        windows.append((d**s, d**w, d ** (w + 1), size))
+        heads, dw, dw1 = d**s, d**w, d ** (w + 1)
+        run = min(heads, _BATCH_SCRATCH // (dw * dw1))
+        runs = tuple((slice(h, h + run), min(run, heads - h) * dw * dw1)
+                     for h in range(0, heads, run)
+                     ) if 1 < heads < d**n // dw else None
+        scratch = max(scratch, run * dw * dw1 if runs else 0)
+        windows.append((heads, dw, dw1, size, runs))
         slots, picks = reads.setdefault(w, ([], []))
         slots.extend(range(p, s + w + 1))
         picks.append(_block_entries(d, w)[p - s:] + size)
-        size += d ** (2 * w + 1)
+        size += dw * dw1
         p = s + w + 1
     reads = tuple((np.array(slots), np.concatenate(picks))
                   for slots, picks in reads.values())
     for array in (a for read in reads for a in read):
         array.flags.writeable = False
-    return tuple(windows), reads, size
+    return tuple(windows), reads, size, scratch
 
 
 def _adjoint_rows(belows, tops, d: int, n: int) -> np.ndarray:
@@ -113,25 +119,19 @@ def _adjoint_rows(belows, tops, d: int, n: int) -> np.ndarray:
     holds these sums for its w + 1 slots at the entries _block_entries
     lists.  The head window (H = 1) is one product over the tails, the
     tail window (T = 1) one over the heads, and any other the sum of its
-    heads' products, in runs whose stack holds at most _BATCH_SCRATCH
-    coefficients.  Each row sums its entries along a row of one 2-d
-    array, in an order that does not change with N, so that a record's
-    bits do not change with the size of its batch.
+    heads' products, stacked in runs that fit one scratch buffer of the
+    chunk.  Each row sums its entries along a row of one 2-d array, in an
+    order that does not change with N, so that a record's bits do not
+    change with the size of its batch.
     """
     count = len(belows)
-    windows, reads, size = _window_table(d, n)
+    windows, reads, size, scratch = _window_table(d, n)
     blocks = np.empty((count, size))
-    stack = np.empty(min(_BATCH_SCRATCH, max(
-        (heads * dw * dw1 for heads, dw, dw1, _ in windows
-         if 1 < heads < d**n // dw), default=0)))
-    plan = []  # with a middle window, its runs of heads and their stacks
-    for heads, dw, dw1, off in windows:
-        run = stack.size // (dw * dw1)
-        runs = [(slice(h, h + run), stack[:min(run, heads - h) * dw * dw1]
-                 .reshape(-1, dw, dw1)) for h in range(0, heads, run)
-                ] if 1 < heads < d**n // dw else None
-        plan.append((heads, dw, dw1, runs,
-                     blocks[:, off:off + dw * dw1].reshape(-1, dw, dw1)))
+    stack = np.empty(scratch)
+    plan = [(heads, dw, dw1, runs and [
+        (cut, stack[:entries].reshape(-1, dw, dw1)) for cut, entries in runs],
+        blocks[:, off:off + dw * dw1].reshape(-1, dw, dw1))
+        for heads, dw, dw1, off, runs in windows]
     for i, (below, top) in enumerate(zip(belows, tops)):
         for heads, dw, dw1, runs, out in plan:
             if heads == 1:
