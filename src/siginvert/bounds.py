@@ -16,7 +16,7 @@ from .signature import (
     require_clean_angles,
     segment_geometry,
 )
-from .tensor_algebra import TruncatedSignature, check_count
+from .tensor_algebra import _prefix, check_count
 
 
 def _check(delta, *, ell=1.0, segments=1, n=0) -> None:
@@ -129,8 +129,8 @@ class ErrorComparison:
 def compare_recovery(path: PiecewiseLinearPath,
                      depth_list) -> list[ErrorComparison]:
     """Sign the path once to depth max(n)+1; for each depth n >= 1, invert
-    its levels up to n+1, read every segment's slope off the probe slot,
-    and record the measured error against the bound."""
+    its levels up to n+1, a prefix view, read every segment's slope off
+    the probe slot, and record the measured error against the bound."""
     path = constant_speed_reparam(path)
     geom = segment_geometry(path)
     require_clean_angles(geom)
@@ -143,8 +143,7 @@ def compare_recovery(path: PiecewiseLinearPath,
     sig = path_signature(path, max(depths, default=0) + 1)
     rows = []
     for n in depths:
-        slopes = invert_signature(
-            TruncatedSignature(sig.dim, sig.levels[:n + 2])).slopes
+        slopes = invert_signature(_prefix(sig, n + 1)).slopes
         for i in range(1, m + 1):
             p = probe_slot(t[i - 1], t[i], n)
             measured = float(np.linalg.norm(slopes[p - 1] - beta[i - 1]))

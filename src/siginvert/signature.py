@@ -7,7 +7,7 @@ Horner's scheme: one scratch array per degree and O(M d^depth (d/(d-1))^2)
 work for M segments.  The batch axis is the last axis of every level and
 scratch array, so each numpy call runs over all the paths of a chunk;
 ``path_signature`` is the batch of one path.  Each signature is a
-``TruncatedSignature`` whose levels are flat arrays.
+``TruncatedSignature`` over its path's column of the chunk's levels.
 """
 
 from __future__ import annotations
@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AllocationCapError, AssumptionViolation
-from .tensor_algebra import (TruncatedSignature, check_allocation, check_count,
-                             get_allocation_cap)
+from .tensor_algebra import (TruncatedSignature, _size, _wrap, check_allocation,
+                             check_count, get_allocation_cap)
 
 # Angles within this tolerance of 0 or pi fail require_clean_angles.
 ANGLE_TOL = 1e-9
@@ -182,9 +182,10 @@ def _check_scratch(d: int, depth: int) -> None:
 _BATCH_SCRATCH = 2**18
 
 
-def _horner_sweep(increments: np.ndarray, depth: int) -> list[np.ndarray]:
-    """Levels 0..depth, level k of shape (d**k, N), of the N paths whose
-    segment displacements are ``increments`` of shape (M, d, N).
+def _horner_sweep(increments: np.ndarray, depth: int) -> np.ndarray:
+    """Levels 0..depth of the N paths whose segment displacements are
+    ``increments`` of shape (M, d, N): one (sum_k d**k, N) array whose
+    consecutive blocks of d**k rows are the levels, a path per column.
 
     The segments are folded right to left, S <- exp(v) (x) S, with v the
     segment's displacement.  By Horner's scheme every level n >= 1 gains
@@ -199,7 +200,9 @@ def _horner_sweep(increments: np.ndarray, depth: int) -> list[np.ndarray]:
     Entries are not checked: an overflow leaves inf or nan behind.
     """
     d, n = increments.shape[1:]
-    levels = [np.ones((1, n))] + [np.zeros((d**k, n)) for k in range(1, depth + 1)]
+    table = np.zeros((_size(d, depth), n))
+    table[0] = 1.0
+    levels = [table[_size(d, k - 1):_size(d, k)] for k in range(depth + 1)]
     # Row r of scratch[m] holds the degree-m partial product of level m + r;
     # its row 0 is complete and is added to level m.
     scratch = [np.ones((depth + 1, 1, 1))]
@@ -220,7 +223,7 @@ def _horner_sweep(increments: np.ndarray, depth: int) -> list[np.ndarray]:
             np.multiply(left, right, out=product)
             gaining += level
             level += complete
-    return levels
+    return table
 
 
 def batch_signature(paths, depth: int) -> list[TruncatedSignature]:
@@ -230,8 +233,9 @@ def batch_signature(paths, depth: int) -> list[TruncatedSignature]:
     Paths with equal segment counts are signed together, one sweep of
     ``_horner_sweep`` per chunk whose Horner scratch stays under
     ``_BATCH_SCRATCH`` coefficients; a path whose count no other path
-    shares is signed alone.  ``TruncatedSignature`` copies and checks each
-    path's levels before the next chunk is signed.  Cost
+    shares is signed alone.  A path signed alone keeps the sweep's column,
+    one of a wider chunk gets a copy of it, so no signature holds its
+    chunk; each is checked before the next chunk is signed.  Cost
     O(M d^depth (d/(d-1))^2) multiply-adds per path of M segments; level 1
     equals the endpoint displacement.
 
@@ -259,10 +263,11 @@ def batch_signature(paths, depth: int) -> list[TruncatedSignature]:
         with np.errstate(over="ignore", invalid="ignore"):
             increments = np.stack([np.diff(paths[i].points, axis=0) for i in idx],
                                   axis=-1)
-            levels = _horner_sweep(increments, depth)
+            table = _horner_sweep(increments, depth)
         for j, i in enumerate(idx):
+            column = table.reshape(-1) if len(idx) == 1 else table[:, j].copy()
             try:
-                found[i] = TruncatedSignature(d, [lvl[:, j] for lvl in levels])
+                found[i] = _wrap(d, depth, column)
             except ValueError as exc:
                 failed[i] = str(exc)
     if failed:

@@ -1,8 +1,8 @@
-"""Truncated signatures over R^d as flat row-major arrays.
+"""Truncated signatures over R^d, each in one flat float64 buffer.
 
-Level k of a signature is a flat float64 array of length d**k.  The
-multi-index (i_1, ..., i_k), with 1-based entries in {1, ..., d}, maps to
-the offset sum_j (i_j - 1) * d**(k-j).
+Level k of a signature is the flat view of its d**k coefficients in the
+buffer, levels in order.  The multi-index (i_1, ..., i_k), with 1-based
+entries in {1, ..., d}, maps to the offset sum_j (i_j - 1) * d**(k-j).
 """
 
 from __future__ import annotations
@@ -53,37 +53,58 @@ def check_count(name: str, value, low: int = 0, high: int = 2**53) -> int:
     raise ValueError(f"{name} must be an integer in [{low}, {top}], got {value!r}")
 
 
+def _size(dim: int, depth: int) -> int:
+    """sum_k dim**k over k = 0..depth: the length of a signature's buffer."""
+    return depth + 1 if dim == 1 else (dim ** (depth + 1) - 1) // (dim - 1)
+
+
+def _fits(level, dim: int, k: int) -> bool:
+    """Whether level k is inside the cap and a list or tuple of dim**k
+    entries or an array of that shape, which numpy converts into a buffer
+    slot as np.array would, or refuses (it refuses nested entries)."""
+    return dim ** min(k, 54) <= _max_coeffs and (
+        level.shape == (dim**k,) if isinstance(level, np.ndarray)
+        else isinstance(level, (list, tuple)) and len(level) == dim**k)
+
+
 @dataclass(frozen=True, eq=False)
 class TruncatedSignature:
-    """Levels 0..depth over R^dim; level k is a flat, read-only float64
-    array of dim**k finite coefficients.  The one check of a signature:
-    dim is a count >= 1 (``check_count``; the cap is its ceiling), kept as
-    an int; each level is copied to float64, then checked against the
-    allocation cap, its shape and finiteness, in level order; last, dim
-    itself against the cap, so a depth-0 signature cannot claim any dim.
-    Equality is identity."""
+    """Levels 0..depth over R^dim as views of one read-only float64 buffer
+    of sum_k dim**k finite coefficients, in level order.  The one check of
+    input from outside the library: dim is a count >= 1 (the cap is its
+    ceiling), kept as an int; each level is copied to float64 once, into
+    the buffer, and checked against the allocation cap, its shape and
+    finiteness, in level order; last, dim itself against the cap, so a
+    depth-0 signature cannot claim any dim.  Equality is identity."""
 
     dim: int
     levels: tuple[np.ndarray, ...] = field(repr=False)
+    _buffer: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         dim = check_count("dim", self.dim, 1, math.inf)
         if not len(self.levels):
             raise ValueError("need at least level 0")
-        levels = []
+        fit = next((k for k, lvl in enumerate(self.levels)
+                    if not _fits(lvl, dim, k)), len(self.levels))
+        buffer = np.empty(_size(dim, fit - 1))
         for k, lvl in enumerate(self.levels):
-            c = np.array(lvl, dtype=np.float64)
-            check_allocation(dim, k)
-            if c.shape != (dim**k,):
-                raise ValueError(f"a degree-{k} tensor over R^{dim} needs "
-                                 f"shape ({dim**k},), got {c.shape}")
-            if not np.isfinite(c).all():
-                raise ValueError(f"level {k} has a non-finite entry")
-            c.setflags(write=False)
-            levels.append(c)
+            lo = _size(dim, k - 1)
+            try:
+                if k < fit:
+                    buffer[lo:lo + dim**k] = lvl
+            except (TypeError, ValueError, OverflowError):
+                fit = k  # converted again by np.array, for its error
+            if k >= fit:
+                _wrap(dim, k - 1, buffer[:lo])  # an earlier non-finite level first
+                c = np.array(lvl, dtype=np.float64)
+                check_allocation(dim, k)
+                if c.shape != (dim**k,):
+                    raise ValueError(f"a degree-{k} tensor over R^{dim} needs "
+                                     f"shape ({dim**k},), got {c.shape}")
+                buffer = np.concatenate((buffer[:lo], c, buffer[lo + c.size:]))
+        vars(self).update(vars(_wrap(dim, len(self.levels) - 1, buffer)))
         check_allocation(dim, 1)
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "levels", tuple(levels))
 
     @property
     def depth(self) -> int:
@@ -94,9 +115,33 @@ class TruncatedSignature:
         return self.levels[k]
 
 
+def _wrap(dim: int, depth: int, buffer: np.ndarray,
+          check: bool = True) -> TruncatedSignature:
+    """The signature of levels 0..depth over ``buffer``, which the library
+    has just built, with no copy.  With ``check``, a non-finite entry raises
+    the constructor's ValueError for its level: an overflow is refused so."""
+    buffer.setflags(write=False)
+    levels = tuple(buffer[_size(dim, k - 1):_size(dim, k)]
+                   for k in range(depth + 1))
+    if check and not np.isfinite(buffer).all():
+        k = next(k for k, lvl in enumerate(levels) if not np.isfinite(lvl).all())
+        raise ValueError(f"level {k} has a non-finite entry")
+    sig = object.__new__(TruncatedSignature)
+    vars(sig).update(dim=dim, levels=levels, _buffer=buffer)
+    return sig
+
+
+def _prefix(s: TruncatedSignature, depth: int) -> TruncatedSignature:
+    """Levels 0..depth of ``s``, a view of its buffer with no check: the
+    buffer is the library's and read-only, its entries were checked when
+    ``s`` was made, and the shapes follow from dim."""
+    return _wrap(s.dim, depth, s._buffer[:_size(s.dim, depth)], check=False)
+
+
 def graded_scale(s: TruncatedSignature, alpha: float) -> TruncatedSignature:
     """Scale level k by alpha**k; the signature of the path alpha * X.
     A level scaled past float64 raises the constructor's ValueError."""
     with np.errstate(over="ignore", invalid="ignore"):
-        levels = [np.float64(alpha)**k * lvl for k, lvl in enumerate(s.levels)]
-    return TruncatedSignature(s.dim, levels)
+        buffer = np.concatenate([np.float64(alpha)**k * lvl
+                                 for k, lvl in enumerate(s.levels)])
+    return _wrap(s.dim, s.depth, buffer)

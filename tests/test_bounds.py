@@ -279,14 +279,20 @@ class TestCompareRecovery:
 
     def test_inverts_once_per_depth(self, monkeypatch):
         # every segment's slope at depth n is read off one inversion of the
-        # levels up to n + 1
-        depths = []
+        # levels up to n + 1, which are views of the one signature signed
+        signed, inverted = [], []
+        monkeypatch.setattr(bounds, "path_signature", lambda path, depth: (
+            signed.append(path_signature(path, depth)) or signed[-1]))
         monkeypatch.setattr(bounds, "invert_signature", lambda sig: (
-            depths.append(sig.depth - 1) or invert_signature(sig)))
+            inverted.append(sig) or invert_signature(sig)))
         p = constant_speed_reparam(unit_zigzag(12))
         rows = compare_recovery(p, [6, 9, 4])
-        assert depths == [6, 9, 4]
+        assert [sig.depth - 1 for sig in inverted] == [6, 9, 4]
         assert len(rows) == 36
+        [whole] = signed
+        for sig in inverted:
+            assert all(np.shares_memory(lvl, whole.levels[k])
+                       for k, lvl in enumerate(sig.levels))
 
     def test_rows_are_well_formed(self):
         p = unit_speed_two_segment(0.4, math.pi / 2.0)

@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -295,11 +296,18 @@ class TestBatchSignature:
         assert_bitwise_equal(got[-1], path_signature(long, 2))
 
     def test_signatures_own_their_levels(self, rng):
-        # a kept signature must not hold the levels of its whole chunk
-        got = batch_signature([irregular_path(rng, 4, 2, 1.0) for _ in range(5)], 3)
-        for sig in got:
-            for k in range(4):
-                assert sig.level(k).base is None
+        # a kept signature must not hold the levels of its whole chunk:
+        # every level is a view of one buffer of exactly sum_k d**k
+        # coefficients, and no two signatures share memory; for a chunk of
+        # paths, a path signed alone, and both in one batch
+        for counts in ([4] * 5, [6], [4, 6, 4, 2]):
+            got = batch_signature([irregular_path(rng, m, 2, 1.0) for m in counts], 3)
+            for sig in got:
+                buffer = sig.level(0).base
+                assert buffer is not None and buffer.size == 1 + 2 + 4 + 8
+                assert all(lvl.base is buffer for lvl in sig.levels)
+            for a, b in itertools.combinations(got, 2):
+                assert not np.shares_memory(a.level(0).base, b.level(0).base)
 
     def test_first_overflow_in_input_order(self):
         good = PiecewiseLinearPath([[0.0, 0.0], [1.0, 0.5], [0.2, 1.0],

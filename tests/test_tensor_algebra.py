@@ -1,5 +1,6 @@
 import io
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -325,6 +326,58 @@ class TestConstructor:
     def test_refuses_non_finite_level(self, bad):
         with pytest.raises(ValueError, match="level 1 has a non-finite"):
             TruncatedSignature(2, [[1.0], [0.5, bad], [0.0] * 4])
+
+    @pytest.mark.parametrize("levels, cap, error, message", [
+        ([[1.0], [np.nan, 0.5], [0.0] * 3], None, ValueError,
+         r"^level 1 has a non-finite entry$"),
+        ([[1.0], [0.5], [0.0] * 4], 3, ValueError,
+         r"^a degree-1 tensor over R\^2 needs shape \(2,\), got \(1,\)$"),
+        ([[1.0], ["x", 0.5], [0.0] * 4], 3, ValueError, "could not convert"),
+        ([[1.0], [0.5, 0.5], [0.0] * 4], 3, AllocationCapError, "cap"),
+        ([[1.0], 0.5, [np.inf] * 4], None, ValueError, r"got \(\)$"),
+        ([[1.0], "12", [np.inf] * 4], None, ValueError, r"got \(\)$"),
+        ([[[1.0]], [0.5, 0.5]], None, ValueError, r"got \(1, 1\)$"),
+        ([np.ones((1, 1)), [0.5, 0.5]], None, ValueError, r"got \(1, 1\)$"),
+    ], ids=["non-finite-then-short", "short-then-past-cap",
+            "unconvertible-then-past-cap", "past-cap", "scalar-level",
+            "string-level", "nested-level-0", "array-level-0"])
+    def test_first_bad_level_decides(self, levels, cap, error, message):
+        # level by level: conversion, cap, shape, finiteness; a scalar or a
+        # string is never spread over a level
+        previous = get_allocation_cap()
+        try:
+            set_allocation_cap(cap or previous)
+            with pytest.raises(error, match=message):
+                TruncatedSignature(2, levels)
+        finally:
+            set_allocation_cap(previous)
+
+    def test_outside_input_is_copied_once(self, rng):
+        # lists convert straight into the one buffer: no temporary per level
+        levels = [rng.standard_normal(3**k).tolist() for k in range(11)]
+        size = sum(3**k for k in range(11))
+        tracemalloc.start()
+        try:
+            TruncatedSignature(3, levels)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.05 * 8 * size + 64 * 1024
+
+    @pytest.mark.parametrize("how", ["lists", "arrays", "graded-scale", "json"])
+    def test_levels_are_views_of_one_buffer(self, rng, how):
+        sig = TruncatedSignature(2, [rng.standard_normal(2**k) for k in range(5)])
+        text = dumps_signatures([("a", sig)])
+        s = {"lists": lambda: TruncatedSignature(2, [l.tolist() for l in sig.levels]),
+             "arrays": lambda: TruncatedSignature(2, sig.levels),
+             "graded-scale": lambda: graded_scale(sig, 1.5),
+             "json": lambda: read_signatures_json(io.StringIO(text))[0][1],
+             }[how]()
+        buffer = s.level(0).base
+        assert buffer is not None and buffer.size == 31
+        assert not buffer.flags.writeable
+        assert all(lvl.base is buffer for lvl in s.levels)
+        assert not np.shares_memory(buffer, sig.level(0).base)
 
     def test_caller_array_stays_writeable(self):
         x = np.array([0.5, 0.25])
