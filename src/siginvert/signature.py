@@ -183,9 +183,8 @@ _BATCH_SCRATCH = 2**18
 
 
 def _horner_sweep(increments: np.ndarray, depth: int) -> np.ndarray:
-    """Levels 0..depth of the N paths whose segment displacements are
-    ``increments`` of shape (M, d, N): one (sum_k d**k, N) array whose
-    consecutive blocks of d**k rows are the levels, a path per column.
+    """Levels 0..depth of the N paths with segment displacements ``increments``
+    (M, d, N), as one (sum_k d**k, N) array of level blocks, a path per column.
 
     The segments are folded right to left, S <- exp(v) (x) S, with v the
     segment's displacement.  By Horner's scheme every level n >= 1 gains
@@ -233,9 +232,8 @@ def batch_signature(paths, depth: int) -> list[TruncatedSignature]:
     Paths with equal segment counts are signed together, one sweep of
     ``_horner_sweep`` per chunk whose Horner scratch stays under
     ``_BATCH_SCRATCH`` coefficients; a path whose count no other path
-    shares is signed alone.  A path signed alone keeps the sweep's column,
-    one of a wider chunk gets a copy of it, so no signature holds its
-    chunk; each is checked before the next chunk is signed.  Cost
+    shares is signed alone.  A path signed alone keeps its sweep column, one of
+    a wider chunk gets a copy; each is checked before the next chunk.  Cost
     O(M d^depth (d/(d-1))^2) multiply-adds per path of M segments; level 1
     equals the endpoint displacement.
 
@@ -259,11 +257,12 @@ def batch_signature(paths, depth: int) -> list[TruncatedSignature]:
     chunk = max(1, _BATCH_SCRATCH // max(1, _scratch_size(d, depth)))
     found, failed = [None] * len(paths), {}
     for idx in (g[lo:lo + chunk] for g in groups for lo in range(0, len(g), chunk)):
-        # an overflow leaves inf or nan behind, which the constructor refuses
+        # an overflow leaves inf or nan behind, which _wrap refuses
         with np.errstate(over="ignore", invalid="ignore"):
             increments = np.stack([np.diff(paths[i].points, axis=0) for i in idx],
                                   axis=-1)
             table = _horner_sweep(increments, depth)
+        table.setflags(write=False)
         for j, i in enumerate(idx):
             column = table.reshape(-1) if len(idx) == 1 else table[:, j].copy()
             try:

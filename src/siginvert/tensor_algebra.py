@@ -58,24 +58,15 @@ def _size(dim: int, depth: int) -> int:
     return depth + 1 if dim == 1 else (dim ** (depth + 1) - 1) // (dim - 1)
 
 
-def _fits(level, dim: int, k: int) -> bool:
-    """Whether level k is inside the cap and a list or tuple of dim**k
-    entries or an array of that shape, which numpy converts into a buffer
-    slot as np.array would, or refuses (it refuses nested entries)."""
-    return dim ** min(k, 54) <= _max_coeffs and (
-        level.shape == (dim**k,) if isinstance(level, np.ndarray)
-        else isinstance(level, (list, tuple)) and len(level) == dim**k)
-
-
 @dataclass(frozen=True, eq=False)
 class TruncatedSignature:
     """Levels 0..depth over R^dim as views of one read-only float64 buffer
     of sum_k dim**k finite coefficients, in level order.  The one check of
     input from outside the library: dim is a count >= 1 (the cap is its
-    ceiling), kept as an int; each level is copied to float64 once, into
-    the buffer, and checked against the allocation cap, its shape and
-    finiteness, in level order; last, dim itself against the cap, so a
-    depth-0 signature cannot claim any dim.  Equality is identity."""
+    ceiling), kept as an int; each level is converted to float64 and checked
+    against the allocation cap, its shape and finiteness, in level order;
+    last, dim itself against the cap, so a depth-0 signature cannot claim
+    any dim.  The buffer is a copy of the levels.  Equality is identity."""
 
     dim: int
     levels: tuple[np.ndarray, ...] = field(repr=False)
@@ -85,26 +76,18 @@ class TruncatedSignature:
         dim = check_count("dim", self.dim, 1, math.inf)
         if not len(self.levels):
             raise ValueError("need at least level 0")
-        fit = next((k for k, lvl in enumerate(self.levels)
-                    if not _fits(lvl, dim, k)), len(self.levels))
-        buffer = np.empty(_size(dim, fit - 1))
+        levels = []
         for k, lvl in enumerate(self.levels):
-            lo = _size(dim, k - 1)
-            try:
-                if k < fit:
-                    buffer[lo:lo + dim**k] = lvl
-            except (TypeError, ValueError, OverflowError):
-                fit = k  # converted again by np.array, for its error
-            if k >= fit:
-                _wrap(dim, k - 1, buffer[:lo])  # an earlier non-finite level first
-                c = np.array(lvl, dtype=np.float64)
-                check_allocation(dim, k)
-                if c.shape != (dim**k,):
-                    raise ValueError(f"a degree-{k} tensor over R^{dim} needs "
-                                     f"shape ({dim**k},), got {c.shape}")
-                buffer = np.concatenate((buffer[:lo], c, buffer[lo + c.size:]))
-        vars(self).update(vars(_wrap(dim, len(self.levels) - 1, buffer)))
+            c = np.asarray(lvl, dtype=np.float64)
+            check_allocation(dim, k)
+            if c.shape != (dim**k,):
+                raise ValueError(f"a degree-{k} tensor over R^{dim} needs "
+                                 f"shape ({dim**k},), got {c.shape}")
+            if not np.isfinite(c).all():
+                raise ValueError(f"level {k} has a non-finite entry")
+            levels.append(c)
         check_allocation(dim, 1)
+        vars(self).update(vars(_wrap(dim, k, np.concatenate(levels), check=False)))
 
     @property
     def depth(self) -> int:
@@ -132,9 +115,8 @@ def _wrap(dim: int, depth: int, buffer: np.ndarray,
 
 
 def _prefix(s: TruncatedSignature, depth: int) -> TruncatedSignature:
-    """Levels 0..depth of ``s``, a view of its buffer with no check: the
-    buffer is the library's and read-only, its entries were checked when
-    ``s`` was made, and the shapes follow from dim."""
+    """Levels 0..depth of ``s``, a view with no check: the buffer is read-only
+    and the library's, ``s`` was checked, and the shapes follow from dim."""
     return _wrap(s.dim, depth, s._buffer[:_size(s.dim, depth)], check=False)
 
 

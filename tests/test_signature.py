@@ -305,6 +305,7 @@ class TestBatchSignature:
             for sig in got:
                 buffer = sig.level(0).base
                 assert buffer is not None and buffer.size == 1 + 2 + 4 + 8
+                assert not buffer.flags.writeable
                 assert all(lvl.base is buffer for lvl in sig.levels)
             for a, b in itertools.combinations(got, 2):
                 assert not np.shares_memory(a.level(0).base, b.level(0).base)
