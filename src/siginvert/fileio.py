@@ -252,7 +252,8 @@ def read_signatures_json(stream) -> list[tuple[str, TruncatedSignature]]:
     InputFormatError, since outputs are keyed by id.
     """
     if isinstance(stream, str):
-        with open(stream, encoding="utf-8") as fh:
+        # utf-8-sig drops a byte-order mark, which json.load refuses
+        with open(stream, encoding="utf-8-sig") as fh:
             return read_signatures_json(fh)
     try:
         payload = json.load(stream, parse_int=_parse_int)

@@ -15,10 +15,10 @@ and the divisions, the integration and the float64 guard run over the
 whole chunk at once.  ``invert_signature`` is the batch of one record, so
 a record inverts to the same bits alone and in any batch.
 
-``_adjoint_rows`` cuts the slots of a level into a chain of windows of
-at most k + 1 slots, d**k <= 16, and reads every slot's row off one BLAS
-product of its window: a window of w + 1 slots costs d**w times one
-slot's multiply-adds, but saves a contraction per slot.
+``_adjoint_rows`` partitions the slots of a level into windows of at
+most k + 1 slots, d**k <= 16, laid end to end, and reads each slot's
+row off its own window's BLAS product: a window of w + 1 slots costs
+d**w times one slot's multiply-adds, but saves a contraction per slot.
 """
 
 from __future__ import annotations
@@ -49,16 +49,14 @@ def _block_degree(d: int, n: int) -> int:
 
 
 @functools.lru_cache(maxsize=16)
-def _block_entries(d: int, k: int) -> np.ndarray:
-    """Flat positions, in a (d**k, d**(k+1)) block product, of the entries
+def _block_entries(d: int, w: int) -> np.ndarray:
+    """Flat positions, in a (d**w, d**(w+1)) block product, of the entries
     [(c, e), (c, j, e)] that slot i + 1 of the block sums, c over the
-    d**i head and e over the d**(k-i) tail: shape (k + 1, d, d**k)."""
-    out = np.empty((k + 1, d, d**k), dtype=np.intp)
-    for i in range(k + 1):
-        tail = d ** (k - i)
-        c, e = np.arange(d**i)[:, None], np.arange(tail)
-        row, col = (c * tail + e).ravel(), (c * d * tail + e).ravel()
-        out[i] = row * d ** (k + 1) + col + tail * np.arange(d)[:, None]
+    d**i head and e over the t = d**(w-i) tail, shape (w + 1, d, d**w):
+    entry m = c*t + e sits at row m, column m + c*(d-1)*t + j*t."""
+    t = d ** np.arange(w, -1, -1, dtype=np.intp)[:, None, None]
+    m, j = np.arange(d**w, dtype=np.intp), np.arange(d)[:, None]
+    out = m * (d ** (w + 1) + 1) + (m // t * (d - 1) + j) * t
     out.flags.writeable = False
     return out
 
@@ -66,42 +64,36 @@ def _block_entries(d: int, k: int) -> np.ndarray:
 @functools.lru_cache(maxsize=64)
 def _window_table(d: int, n: int) -> tuple:
     """The chain of windows that the n + 1 slots of a degree-n level are
-    read off, as (windows, reads, size, scratch).
+    read off, laid end to end from slot 0, as (windows, size, scratch).
 
     The head window holds the first k + 1 slots, k = _block_degree(d, n),
-    the tail window the last k + 1 less those the head holds, and the
-    fewest windows of at most k + 1 slots, of sizes that differ by at most
-    one, those between.  The window of w + 1 slots after the first s
-    indices is (d**s, d**w, d**(w+1), offset, runs): its block product
-    lies at ``offset`` in a record's buffer of ``size`` entries, and
+    the tail window the last min(k, n - k - 1) + 1, and the fewest
+    windows of at most k + 1 slots, of sizes that differ by at most one,
+    those between.  The window of w + 1 slots after the first s indices
+    is (d**s, d**w, d**(w+1), offset, runs, slots, picks): its block
+    product lies at ``offset`` in a record's buffer of ``size`` entries,
     ``runs`` cuts its d**s heads into (heads, stack entries) that fit
     ``scratch`` coefficients, or is None for the head and tail windows,
-    one product each.  ``reads`` pairs, per w, the slots of the degree-w
-    windows with their entries in that buffer, of shape (slots, d, d**w)."""
+    one product each, and the rows of the slice ``slots`` sum the entries
+    of that buffer at ``picks``, of shape (w + 1, d, d**w)."""
     k = _block_degree(d, n)
     middle = max(0, n - 2 * k - 1)
     cuts = -(-middle // (k + 1))
     degrees = [middle // cuts + (j < middle % cuts) - 1 for j in range(cuts)]
-    windows, reads, size, scratch, p = [], {}, 0, 0, 0
-    for w in [k] + degrees + [k] * (k < n):
-        s = min(p, n - w)  # the tail window ends at the last index
+    windows, size, scratch, s = [], 0, 0, 0
+    for w in [k] + degrees + [min(k, n - k - 1)] * (k < n):
         heads, dw, dw1 = d**s, d**w, d ** (w + 1)
         run = min(heads, _BATCH_SCRATCH // (dw * dw1))
         runs = tuple((slice(h, h + run), min(run, heads - h) * dw * dw1)
                      for h in range(0, heads, run)
                      ) if 1 < heads < d**n // dw else None
         scratch = max(scratch, run * dw * dw1 if runs else 0)
-        windows.append((heads, dw, dw1, size, runs))
-        slots, picks = reads.setdefault(w, ([], []))
-        slots.extend(range(p, s + w + 1))
-        picks.append(_block_entries(d, w)[p - s:] + size)
+        picks = _block_entries(d, w) + size
+        picks.flags.writeable = False
+        windows.append((heads, dw, dw1, size, runs, slice(s, s + w + 1), picks))
         size += dw * dw1
-        p = s + w + 1
-    reads = tuple((np.array(slots), np.concatenate(picks))
-                  for slots, picks in reads.values())
-    for array in (a for read in reads for a in read):
-        array.flags.writeable = False
-    return tuple(windows), reads, size, scratch
+        s += w + 1
+    return tuple(windows), size, scratch
 
 
 def _adjoint_rows(belows, tops, d: int, n: int) -> np.ndarray:
@@ -116,22 +108,22 @@ def _adjoint_rows(belows, tops, d: int, n: int) -> np.ndarray:
 
         sum over h < H and t < T of below[h, :, t] (x) top[h, :, t]
 
-    holds these sums for its w + 1 slots at the entries _block_entries
-    lists.  The head window (H = 1) is one product over the tails, the
-    tail window (T = 1) one over the heads, and any other the sum of its
-    heads' products, stacked in runs that fit one scratch buffer of the
-    chunk.  Each row sums its entries along a row of one 2-d array, in an
+    holds these sums for its w + 1 slots at its picks.  The head window
+    (H = 1) is one product over the tails, the tail window (T = 1) one
+    over the heads, and any other the sum of its heads' products, stacked
+    in runs that fit one scratch buffer of the chunk.  Each window's rows
+    are one take of its picks, summed along its contiguous last axis in an
     order that does not change with N, so that a record's bits do not
     change with the size of its batch.
     """
     count = len(belows)
-    windows, reads, size, scratch = _window_table(d, n)
+    windows, size, scratch = _window_table(d, n)
     blocks = np.empty((count, size))
     stack = np.empty(scratch)
     plan = [(heads, dw, dw1, runs and [
         (cut, stack[:entries].reshape(-1, dw, dw1)) for cut, entries in runs],
         blocks[:, off:off + dw * dw1].reshape(-1, dw, dw1))
-        for heads, dw, dw1, off, runs in windows]
+        for heads, dw, dw1, off, runs, _, _ in windows]
     for i, (below, top) in enumerate(zip(belows, tops)):
         for heads, dw, dw1, runs, out in plan:
             if heads == 1:
@@ -150,9 +142,8 @@ def _adjoint_rows(belows, tops, d: int, n: int) -> np.ndarray:
                     else:
                         part.sum(axis=0, out=out[i])
     rows = np.empty((count, n + 1, d))
-    for slots, pick in reads:
-        sums = blocks.take(pick, axis=1).reshape(-1, pick.shape[2]).sum(axis=1)
-        rows[:, slots] = sums.reshape(count, -1, d)
+    for *_, slots, picks in windows:
+        blocks.take(picks, axis=1).sum(axis=3, out=rows[:, slots])
     return rows
 
 
@@ -228,7 +219,7 @@ def _outcomes(sigs, starts=None) -> list:
             groups.setdefault((sig.dim, sig.depth), []).append((i, sig, start))
     for (d, n), members in groups.items():
         # per record: one block per window, then rows, slopes and points
-        size = _window_table(d, n - 1)[2] + 3 * d * (n + 1)
+        size = _window_table(d, n - 1)[1] + 3 * d * (n + 1)
         chunk = max(1, _BATCH_SCRATCH // size)
         for lo in range(0, len(members), chunk):
             idx, part, part_starts = zip(*members[lo:lo + chunk])

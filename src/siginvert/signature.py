@@ -7,7 +7,8 @@ Horner's scheme: one scratch array per degree and O(M d^depth (d/(d-1))^2)
 work for M segments.  The batch axis is the last axis of every level and
 scratch array, so each numpy call runs over all the paths of a chunk;
 ``path_signature`` is the batch of one path.  Each signature is a
-``TruncatedSignature`` over its path's column of the chunk's levels.
+``TruncatedSignature`` over its own buffer: the sweep's table for a path
+signed alone, a copy of its path's column of the chunk's table otherwise.
 """
 
 from __future__ import annotations
@@ -40,9 +41,9 @@ class PiecewiseLinearPath:
 
     Times default to the uniform grid i/M on [0, 1], a read-only view of
     one grid cached per M, which no caller can make writeable.  Fewer
-    than 2 points, a point that is not finite, a times array of another
-    length, and times that are not finite and strictly increasing raise
-    ValueError.
+    than 2 points, points in R^0, a point that is not finite, a times
+    array of another length, and times that are not finite and strictly
+    increasing raise ValueError.
     """
 
     points: np.ndarray
@@ -53,6 +54,8 @@ class PiecewiseLinearPath:
         pts = np.atleast_2d(np.array(self.points, dtype=np.float64))
         if pts.ndim != 2 or pts.shape[0] < 2:
             raise ValueError("fewer than 2 points in R^d")
+        if pts.shape[1] == 0:
+            raise ValueError(f"points of shape {pts.shape} lie in R^0")
         if not np.isfinite(pts).all():
             raise ValueError("the path has a non-finite point")
         pts.setflags(write=False)

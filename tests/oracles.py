@@ -1,6 +1,7 @@
 """Independent test oracles: a Riemann-sum signature, the Chen split of
 the insertion operator, the Chen-chain norm estimate, a per-entry
-insertion adjoint, and the tensor operations the package does not need
+insertion adjoint, the per-slot read-off positions of a window product,
+and the tensor operations the package does not need
 (tensor product, slot permutation, the insertion map, the closed-form
 signature of a linear segment and Chen's identity); with the small helpers
 only the tests use (multi-index offsets, path restriction, the points that
@@ -158,6 +159,20 @@ def adjoint_oracle(below: np.ndarray, top: np.ndarray, n: int,
         idx = offset_to_multi_index(off, d, n + 1)
         rest = idx[:p - 1] + idx[p:]
         out[idx[p - 1] - 1] += entry(below, d, rest) * top[off]
+    return out
+
+
+def block_entries_oracle(d: int, w: int) -> np.ndarray:
+    """Flat positions, in a (d**w, d**(w+1)) block product, of the entries
+    [(c, e), (c, j, e)] that slot i + 1 of the block sums, c over the
+    d**i head and e over the d**(w-i) tail, built one slot at a time:
+    shape (w + 1, d, d**w)."""
+    out = np.empty((w + 1, d, d**w), dtype=np.intp)
+    for i in range(w + 1):
+        tail = d ** (w - i)
+        c, e = np.arange(d**i)[:, None], np.arange(tail)
+        row, col = (c * tail + e).ravel(), (c * d * tail + e).ravel()
+        out[i] = row * d ** (w + 1) + col + tail * np.arange(d)[:, None]
     return out
 
 

@@ -331,6 +331,20 @@ class TestSignInvertCli:
             want = np.array([0.5, -1.0]) + t * np.array([1.0, 3.0])
             np.testing.assert_allclose(pt, want, atol=1e-9)
 
+    def test_json_byte_order_mark_is_dropped(self, tmp_path):
+        # with the mark, json.load refused the file as invalid JSON
+        f = write_path_csv_file(tmp_path, "p.csv", [[0.0, 0.0], [1.0, 0.5],
+                                                    [0.25, 1.5]])
+        plain, marked = tmp_path / "plain.json", tmp_path / "marked.json"
+        assert main(["sign", f, "--depth", "6", "--out", str(plain)]) == 0
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        outputs = []
+        for sig_file in (plain, marked):
+            out_file = tmp_path / f"{sig_file.stem}.csv"
+            assert main(["invert", str(sig_file), "--out", str(out_file)]) == 0
+            outputs.append(out_file.read_bytes())
+        assert outputs[0] == outputs[1]
+
     def test_invert_depth2_gives_three_points(self, tmp_path, capsys):
         sig = path_signature(PiecewiseLinearPath([[0.0, 0.0], [1.0, 0.5]]), 2)
         sig_file = tmp_path / "sig.json"

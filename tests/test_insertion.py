@@ -17,11 +17,13 @@ from siginvert import (
     invert_signature,
     path_signature,
 )
-from siginvert.insertion import _BATCH_SCRATCH, _adjoint_rows
+from siginvert.insertion import (_BATCH_SCRATCH, _adjoint_rows, _block_entries,
+                                  _window_table)
 
 from conftest import random_path
 from oracles import (
     adjoint_oracle,
+    block_entries_oracle,
     euclidean_norm,
     insertion_apply,
     insertion_chen_split,
@@ -471,6 +473,25 @@ def sweep_paths(rng, count, d):
         return [PiecewiseLinearPath(np.cumsum(rng.random((5, 1)), axis=0))
                 for _ in range(count)]
     return [random_path(rng, 4, d) for _ in range(count)]
+
+
+class TestWindowTable:
+    @pytest.mark.parametrize("d, n", SHAPES + DEEP_SHAPES)
+    def test_windows_partition_the_slots(self, d, n):
+        # the slots of the degree-(n-1) level, each in one window, in order
+        windows, _, _ = _window_table(d, n - 1)
+        cover = [p for *_, slots, _ in windows
+                 for p in range(slots.start, slots.stop)]
+        assert cover == list(range(n))
+
+    @pytest.mark.parametrize("d, n", SHAPES + DEEP_SHAPES)
+    def test_picks_match_the_per_slot_loop(self, d, n):
+        windows, _, _ = _window_table(d, n - 1)
+        for _, _, _, offset, _, slots, picks in windows:
+            w = slots.stop - slots.start - 1
+            want = block_entries_oracle(d, w)
+            np.testing.assert_array_equal(_block_entries(d, w), want)
+            np.testing.assert_array_equal(picks, want + offset)
 
 
 class TestBlockBoundaries:

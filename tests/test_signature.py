@@ -405,6 +405,11 @@ class TestPathChecks:
         with pytest.raises(ValueError, match="non-finite point"):
             PiecewiseLinearPath([[0.0, 0.0], [bad, 1.0]])
 
+    def test_points_in_r0_refused(self):
+        # such a path failed later, in numpy, when signed or measured
+        with pytest.raises(ValueError, match=r"shape \(3, 0\) lie in R\^0"):
+            PiecewiseLinearPath(np.zeros((3, 0)))
+
     def test_caller_points_stay_writeable(self):
         points = np.zeros((3, 2))
         path = PiecewiseLinearPath(points)
