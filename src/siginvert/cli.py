@@ -78,11 +78,12 @@ def random_benchmark_path(rng, dim: int, pieces: int = 10) -> PiecewiseLinearPat
 
 @contextlib.contextmanager
 def _output(args):
-    """The ``--out`` file, closed on leaving, or stdout without one."""
+    """The ``--out`` file, UTF-8 as the readers expect and closed on
+    leaving, or stdout, in the terminal's encoding, without one."""
     if not args.out:
         yield sys.stdout
         return
-    with open(args.out, "w", newline="") as fh:
+    with open(args.out, "w", newline="", encoding="utf-8") as fh:
         yield fh
 
 

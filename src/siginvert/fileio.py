@@ -249,7 +249,8 @@ def read_signatures_json(stream) -> list[tuple[str, TruncatedSignature]]:
 
     A record without an "id" takes its index.  An id that is not a JSON
     string or integer, or two records with the same id, raise
-    InputFormatError, since outputs are keyed by id.
+    InputFormatError, since outputs are keyed by id; so does an id with a
+    lone surrogate, which no UTF-8 output could encode.
     """
     if isinstance(stream, str):
         # utf-8-sig drops a byte-order mark, which json.load refuses
@@ -272,6 +273,11 @@ def read_signatures_json(stream) -> list[tuple[str, TruncatedSignature]]:
             raise InputFormatError(f"record {i}: id must be a string or an "
                                    f"integer, not {_JSON_NAMES[type(pid)]}")
         pid = str(pid)
+        try:
+            pid.encode()
+        except UnicodeEncodeError as exc:
+            raise InputFormatError(f"record {i}: id {pid!r} holds a lone "
+                                   "surrogate, not valid in UTF-8") from exc
         if pid in seen:
             raise InputFormatError(
                 f"duplicate record id {pid!r} (record {i}); a record "

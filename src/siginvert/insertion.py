@@ -16,9 +16,10 @@ whole chunk at once.  ``invert_signature`` is the batch of one record, so
 a record inverts to the same bits alone and in any batch.
 
 ``_adjoint_rows`` partitions the slots of a level into windows of at
-most k + 1 slots, d**k <= 16, laid end to end, and reads each slot's
-row off its own window's BLAS product: a window of w + 1 slots costs
-d**w times one slot's multiply-adds, but saves a contraction per slot.
+most k + 1 slots, k <= n the largest with d**k <= 16, laid end to end,
+and reads each slot's row off its own window's BLAS product: a window of
+w + 1 slots costs d**w times one slot's multiply-adds, but saves a
+contraction per slot.  At d = 1 every power fits, so a level is one window.
 """
 
 from __future__ import annotations
@@ -39,16 +40,6 @@ from .tensor_algebra import TruncatedSignature
 _BLOCK = 16
 
 
-def _block_degree(d: int, n: int) -> int:
-    """The largest k <= n with d**k <= _BLOCK, and at most log2(_BLOCK)
-    even at d = 1, where every power fits."""
-    k = 0
-    while k < min(n, _BLOCK.bit_length() - 1) and d ** (k + 1) <= _BLOCK:
-        k += 1
-    return k
-
-
-@functools.lru_cache(maxsize=16)
 def _block_entries(d: int, w: int) -> np.ndarray:
     """Flat positions, in a (d**w, d**(w+1)) block product, of the entries
     [(c, e), (c, j, e)] that slot i + 1 of the block sums, c over the
@@ -56,9 +47,7 @@ def _block_entries(d: int, w: int) -> np.ndarray:
     entry m = c*t + e sits at row m, column m + c*(d-1)*t + j*t."""
     t = d ** np.arange(w, -1, -1, dtype=np.intp)[:, None, None]
     m, j = np.arange(d**w, dtype=np.intp), np.arange(d)[:, None]
-    out = m * (d ** (w + 1) + 1) + (m // t * (d - 1) + j) * t
-    out.flags.writeable = False
-    return out
+    return m * (d ** (w + 1) + 1) + (m // t * (d - 1) + j) * t
 
 
 @functools.lru_cache(maxsize=64)
@@ -66,17 +55,19 @@ def _window_table(d: int, n: int) -> tuple:
     """The chain of windows that the n + 1 slots of a degree-n level are
     read off, laid end to end from slot 0, as (windows, size, scratch).
 
-    The head window holds the first k + 1 slots, k = _block_degree(d, n),
-    the tail window the last min(k, n - k - 1) + 1, and the fewest
-    windows of at most k + 1 slots, of sizes that differ by at most one,
-    those between.  The window of w + 1 slots after the first s indices
-    is (d**s, d**w, d**(w+1), offset, runs, slots, picks): its block
-    product lies at ``offset`` in a record's buffer of ``size`` entries,
-    ``runs`` cuts its d**s heads into (heads, stack entries) that fit
-    ``scratch`` coefficients, or is None for the head and tail windows,
-    one product each, and the rows of the slice ``slots`` sum the entries
-    of that buffer at ``picks``, of shape (w + 1, d, d**w)."""
-    k = _block_degree(d, n)
+    The head window holds the first k + 1 slots, k <= n the largest with
+    d**k <= _BLOCK (all n + 1 slots at d = 1), the tail window the last
+    min(k, n - k - 1) + 1, and the fewest windows of at most k + 1 slots,
+    of sizes that differ by at most one, those between.  The window of
+    w + 1 slots after the first s indices is (d**s, d**w, d**(w+1), offset,
+    runs, slots, picks): its block product lies at ``offset`` in a record's
+    buffer of ``size`` entries, ``runs`` cuts its d**s heads into (heads,
+    stack entries) that fit ``scratch`` coefficients, or is None for the
+    head and tail windows, one product each, and the rows of ``slots`` sum
+    the entries of that buffer at ``picks``, of shape (w + 1, d, d**w)."""
+    k = 0
+    while k < n and d ** (k + 1) <= _BLOCK:
+        k += 1
     middle = max(0, n - 2 * k - 1)
     cuts = -(-middle // (k + 1))
     degrees = [middle // cuts + (j < middle % cuts) - 1 for j in range(cuts)]

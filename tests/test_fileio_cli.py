@@ -670,6 +670,7 @@ class TestBadArguments:
         ["sign", "{f}", "--depth=-1"],
         ["roundtrip", "{f}", "--depths", "0"],
         ["roundtrip", "{f}", "--depths", "4,1"],
+        ["roundtrip", "{f}", "--depths", "4,a"],
         ["roundtrip", "{f}", "--depths", ","],
         ["roundtrip", "{f}", "--depths", ""],
         ["trend", "{f}", "--depth", "1"],
@@ -767,6 +768,19 @@ class TestBadArguments:
         assert err == (f"error: record 1: id must be a string or an integer, "
                        f"not {name}\n")
 
+    def test_record_id_with_a_lone_surrogate(self, tmp_path, capsys):
+        # no output can encode the id, which failed only after the output
+        # had opened and its header was written
+        f = tmp_path / "ids.json"
+        f.write_text('{"dim": 1, "depth": 2, "id": "\\ud800", '
+                     '"levels": [[1.0], [0.5], [0.125]]}')
+        out_file = tmp_path / "path.csv"
+        assert main(["invert", str(f), "--out", str(out_file)]) == 2
+        assert capsys.readouterr().err == (
+            "error: record 0: id '\\ud800' holds a lone surrogate, not "
+            "valid in UTF-8\n")
+        assert not out_file.exists()
+
     def test_integer_record_ids_are_kept(self, tmp_path, capsys):
         rec = '{"dim": 1, "depth": 2, "levels": [[1.0], [0.5], [0.125]]'
         f = tmp_path / "ids.json"
@@ -806,6 +820,13 @@ class TestBadArguments:
     def test_directory_input(self, tmp_path, capsys, command):
         assert main([command[0], str(tmp_path)] + command[1:]) == 2
         assert_one_error_line(capsys)
+
+    def test_no_coordinate_columns(self, tmp_path, capsys):
+        f = tmp_path / "bare.csv"
+        f.write_text("id,t\na,0\na,1\n")
+        assert main(["sign", str(f), "--depth", "2"]) == 2
+        assert capsys.readouterr().err == \
+            "error: no coordinate columns in CSV file\n"
 
     def test_special_column_named_twice(self, tmp_path, capsys):
         f = tmp_path / "dup.csv"
@@ -873,11 +894,12 @@ class TestBadArguments:
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def run_module(cwd, *argv):
+def run_module(cwd, *argv, **env):
     """``python -m siginvert.cli`` in its own process, importing the
-    package from this checkout."""
+    package from this checkout, with the variables ``env`` set."""
     return subprocess.run([sys.executable, "-m", "siginvert.cli", *argv],
-                          cwd=cwd, env=dict(os.environ, PYTHONPATH=str(SRC)),
+                          cwd=cwd,
+                          env=dict(os.environ, PYTHONPATH=str(SRC), **env),
                           capture_output=True, timeout=120)
 
 
@@ -895,6 +917,23 @@ class TestProcess:
         assert (invert.returncode, invert.stderr) == (0, b"")
         assert main(["invert", str(sig_file)]) == 0
         assert invert.stdout == capsys.readouterr().out.encode()
+
+    def test_out_files_are_utf8_in_the_c_locale(self, tmp_path):
+        # the files were written in the locale's encoding, ASCII here, so a
+        # non-ASCII id failed after the header had been written
+        f = tmp_path / "p.csv"
+        f.write_bytes("id,x1\n\u00df,0\n\u00df,1\n\u00df,3\n".encode())
+        sig, back, trend = (tmp_path / name for name in
+                            ("sig.json", "back.csv", "trend.csv"))
+        for argv in (["sign", str(f), "--depth", "4", "--out", str(sig)],
+                     ["invert", str(sig), "--out", str(back)],
+                     ["trend", str(f), "--depth", "4", "--out", str(trend)]):
+            proc = run_module(tmp_path, *argv, LC_ALL="C",
+                              PYTHONCOERCECLOCALE="0", PYTHONUTF8="0")
+            assert (proc.returncode, proc.stderr) == (0, b""), argv
+        for out in (back, trend):
+            [(pid, path)] = read_paths_csv(str(out))
+            assert pid == "\u00df" and path.points.shape == (5, 1)
 
     def test_malformed_csv_exits_2_with_one_line(self, tmp_path):
         f = tmp_path / "bad.csv"

@@ -120,8 +120,8 @@ class TestAdjoint:
 
     @pytest.mark.parametrize("d, n", [(1, 5), (2, 6), (2, 10), (3, 5), (4, 4)])
     def test_matches_dense_oracle_at_every_slot(self, rng, d, n):
-        # each shape has a head window and a tail window, and (2, 10) a
-        # one-slot middle window between them
+        # (1, 5) is one window; each other shape has a head window and a
+        # tail window, and (2, 10) a one-slot middle window between them
         sig = path_signature(random_path(rng, 4, d), n + 1)
         # the adjoint is bilinear; unit-scale path levels keep atol relative
         path_pair = [sig.level(k) / np.abs(sig.level(k)).max() for k in (n, n + 1)]
@@ -431,6 +431,11 @@ class TestBatchInvert:
     def test_empty_batch(self):
         assert batch_invert([]) == []
 
+    def test_one_start_per_signature(self, rng):
+        sig = path_signature(random_path(rng, 3, 2), 6)
+        with pytest.raises(ValueError, match="one start point per signature"):
+            batch_invert([sig, sig], [None])
+
     def test_first_failure_raises_as_alone(self, rng):
         # a bad start, a depth-1 signature and all-zero levels, in every
         # order behind a good record: the batch raises the exception the
@@ -450,8 +455,9 @@ class TestBatchInvert:
 
 
 # the 98 signature shapes (d, n) with d**(n + 1) <= 2**16 (d = 1..16,
-# n >= 2, n <= 40 at d = 1): a level's slots in a head window alone, in
-# head and tail windows, or in a chain with middle windows between them
+# n >= 2, n <= 40 at d = 1): a level's slots in a head window alone, as
+# at every d = 1 shape, in head and tail windows, or in a chain with
+# middle windows between them
 SHAPES = [(d, n) for d in range(1, 17) for n in range(2, 41)
           if d ** (n + 1) <= 2**16]
 
@@ -461,7 +467,8 @@ DEEP_SHAPES = [(2, 16), (2, 17), (2, 18), (2, 20)]
 
 # shapes where the batch-size check runs a full batch of 100 records, as
 # a sum whose order changes with N shows more readily in a large batch:
-# each kind of window chain, and (16, 3), whose records span four chunks
+# each kind of window chain, the one window of 40 slots at (1, 40), and
+# (16, 3), whose records span four chunks
 BATCH_SHAPES = [(1, 40), (2, 3), (2, 6), (2, 12), (2, 14), (2, 16), (2, 17),
                 (3, 4), (3, 9), (4, 5), (5, 4), (16, 3)]
 
@@ -483,6 +490,12 @@ class TestWindowTable:
         cover = [p for *_, slots, _ in windows
                  for p in range(slots.start, slots.stop)]
         assert cover == list(range(n))
+
+    def test_one_window_at_d_1(self):
+        # every power of 1 fits _BLOCK, so a level is read off one window
+        for n in [n for d, n in SHAPES if d == 1] + [1000]:
+            windows, _, _ = _window_table(1, n - 1)
+            assert len(windows) == 1, n
 
     @pytest.mark.parametrize("d, n", SHAPES + DEEP_SHAPES)
     def test_picks_match_the_per_slot_loop(self, d, n):

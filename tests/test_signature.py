@@ -405,6 +405,10 @@ class TestPathChecks:
         with pytest.raises(ValueError, match="non-finite point"):
             PiecewiseLinearPath([[0.0, 0.0], [bad, 1.0]])
 
+    def test_times_of_another_length_refused(self):
+        with pytest.raises(ValueError, match="one entry per point"):
+            PiecewiseLinearPath([[0.0], [1.0], [2.0]], [0.0, 1.0])
+
     def test_points_in_r0_refused(self):
         # such a path failed later, in numpy, when signed or measured
         with pytest.raises(ValueError, match=r"shape \(3, 0\) lie in R\^0"):
@@ -538,6 +542,11 @@ class TestSegmentGeometry:
         assert geom.angles[0] == pytest.approx(0.0, abs=1e-12)
         with pytest.raises(AssumptionViolation, match="backtracking"):
             require_clean_angles(geom)
+
+    def test_constant_path_refused(self):
+        p = PiecewiseLinearPath([[1.0, 2.0], [1.0, 2.0], [1.0, 2.0]])
+        with pytest.raises(ValueError, match="no non-degenerate segment"):
+            segment_geometry(p)
 
     def test_total_variation(self):
         p = PiecewiseLinearPath([[0.0, 0.0], [3.0, 0.0], [3.0, 4.0]])
