@@ -11,6 +11,7 @@ import argparse
 import contextlib
 import csv
 import dataclasses
+import io
 import json
 import sys
 
@@ -77,20 +78,27 @@ def random_benchmark_path(rng, dim: int, pieces: int = 10) -> PiecewiseLinearPat
 
 
 @contextlib.contextmanager
-def _output(args):
+def _output(args, whole=True):
     """The ``--out`` file, UTF-8 as the readers expect and closed on
-    leaving, or stdout, in the terminal's encoding, without one."""
-    if not args.out:
+    leaving, or stdout, in the terminal's encoding, without one.  Stdout
+    gets the text in one write on leaving, encoded whole before any of it
+    is printed, so text the terminal cannot encode prints nothing; with
+    ``whole`` False it is written as it comes (``sign``'s ASCII JSON)."""
+    if args.out:
+        with open(args.out, "w", newline="", encoding="utf-8") as fh:
+            yield fh
+    elif whole:
+        text = io.StringIO()
+        yield text
+        sys.stdout.write(text.getvalue())
+    else:
         yield sys.stdout
-        return
-    with open(args.out, "w", newline="", encoding="utf-8") as fh:
-        yield fh
 
 
 def cmd_sign(args) -> int:
     records = fileio.read_paths_csv(args.input)
     sigs = batch_signature([p for _, p in records], args.depth)
-    with _output(args) as out:
+    with _output(args, whole=False) as out:
         fileio.write_signatures_json(out, [(pid, sig) for (pid, _), sig
                                            in zip(records, sigs)])
     return EXIT_OK

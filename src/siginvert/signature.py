@@ -3,8 +3,9 @@
 A linear segment with displacement v has the signature exp(v), whose level
 k is v^{(x)k} / k!.  ``batch_signature`` multiplies the running signatures
 of a batch of paths in place by exp(v) of each segment, right to left, with
-Horner's scheme: one scratch array per degree and O(M d^depth (d/(d-1))^2)
-work for M segments.  The batch axis is the last axis of every level and
+Horner's scheme: O(M d^depth (d/(d-1))^2) work for M segments, with each
+degree's scratch in one of two buffers by its parity, since degree m reads
+only degree m - 1.  The batch axis is the last axis of every level and
 scratch array, so each numpy call runs over all the paths of a chunk;
 ``path_signature`` is the batch of one path.  Each signature is a
 ``TruncatedSignature`` over its own buffer: the sweep's table for a path
@@ -157,18 +158,23 @@ def require_clean_angles(geom: SegmentGeometry) -> None:
 
 
 def _scratch_size(d: int, depth: int) -> int:
-    """Coefficients of one path's Horner scratch, sum_m (depth - m + 1) d^m
-    over m = 1..depth."""
+    """Coefficients of one path's Horner scratch: the largest degree-m block
+    of (depth - m + 1) d^m, m = 1..depth, of each parity.  For d >= 2 the
+    blocks grow with m, so the two largest are m = depth and depth - 1; for
+    d = 1 they shrink, so the two largest are m = 1 and 2."""
+    if depth < 2:
+        return d * depth
     if d == 1:
-        return depth * (depth + 1) // 2
-    return d * (d ** (depth + 1) - (depth + 1) * d + depth) // (d - 1) ** 2
+        return 2 * depth - 1
+    return d**depth + 2 * d ** (depth - 1)
 
 
 def _check_scratch(d: int, depth: int) -> None:
     """Refuse a Horner scratch above 4 times the allocation cap.
 
-    For d >= 2 the scratch is at most (d/(d-1))^2 <= 4 top levels, which
-    the cap already bounds; for d = 1 it grows as depth^2 / 2.
+    For d >= 2 the scratch is at most 2 top levels, which the cap already
+    bounds; for d = 1 it is 2 depth - 1 coefficients, so the depth is
+    refused past about twice the cap.
     """
     size = _scratch_size(d, depth)
     cap = get_allocation_cap()
@@ -180,8 +186,9 @@ def _check_scratch(d: int, depth: int) -> None:
         )
 
 
-# Scratch coefficients one batched sweep holds: a batch of paths with equal
-# segment counts whose scratch would be larger is signed in chunks.
+# Scratch coefficients (``_scratch_size`` per path) one batched sweep holds:
+# a batch of paths with equal segment counts whose scratch would be larger
+# is signed in chunks.
 _BATCH_SCRATCH = 2**18
 
 
@@ -196,10 +203,13 @@ def _horner_sweep(increments: np.ndarray, depth: int) -> np.ndarray:
 
     computed from the old lower levels.  The partial products of all levels
     advance together one degree at a time, so each degree has one scratch
-    array and one multiply per segment.  Folding from the right keeps the
-    length-d factor on the left of each outer product, and the batch axis
-    is last, so numpy's inner loop runs over the N paths at every degree.
-    Entries are not checked: an overflow leaves inf or nan behind.
+    block and one multiply per segment.  Degree m reads only degree m - 1,
+    so the blocks of odd and of even degrees each share one buffer, sized
+    for the largest block of its parity (``_scratch_size`` per path).
+    Folding from the right keeps the length-d factor on the left of each
+    outer product, and the batch axis is last, so numpy's inner loop runs
+    over the N paths at every degree.  Entries are not checked: an
+    overflow leaves inf or nan behind.
     """
     d, n = increments.shape[1:]
     table = np.zeros((_size(d, depth), n))
@@ -207,8 +217,13 @@ def _horner_sweep(increments: np.ndarray, depth: int) -> np.ndarray:
     levels = [table[_size(d, k - 1):_size(d, k)] for k in range(depth + 1)]
     # Row r of scratch[m] holds the degree-m partial product of level m + r;
     # its row 0 is complete and is added to level m.
+    sizes = [(depth - m + 1) * d**m * n for m in range(depth + 1)]
+    # buffers[p] holds the blocks of the degrees m >= 1 with m % 2 == p,
+    # allocated apart, so neither is larger than the largest block
+    buffers = [np.empty(max(sizes[2 - p::2], default=0)) for p in (0, 1)]
     scratch = [np.ones((depth + 1, 1, 1))]
-    scratch += [np.empty((depth - m + 1, d**m, n)) for m in range(1, depth + 1)]
+    scratch += [buffers[m % 2][:sizes[m]].reshape(depth - m + 1, d**m, n)
+                for m in range(1, depth + 1)]
     inv = (1.0 / np.arange(1, depth + 1))[:, None, None, None]
     # row r: v / (r + 1), the left factor of row r at every degree
     vs = np.empty((depth, d, 1, n))

@@ -873,9 +873,9 @@ class TestBadArguments:
 
     def test_one_dimensional_scratch_cap(self, tmp_path, capsys):
         f = write_path_csv_file(tmp_path, "line.csv", [[0.0], [1.0]])
-        assert main(["sign", f, "--depth", "88", "--max-coeffs", "1000"]) == 0
-        assert json.loads(capsys.readouterr().out)["depth"] == 88
-        assert main(["sign", f, "--depth", "89", "--max-coeffs", "1000"]) == 3
+        assert main(["sign", f, "--depth", "2000", "--max-coeffs", "1000"]) == 0
+        assert json.loads(capsys.readouterr().out)["depth"] == 2000
+        assert main(["sign", f, "--depth", "2001", "--max-coeffs", "1000"]) == 3
         assert_one_error_line(capsys)
 
     def test_depth_2_pow_53_is_past_the_cap(self, square, capsys):
@@ -934,6 +934,20 @@ class TestProcess:
         for out in (back, trend):
             [(pid, path)] = read_paths_csv(str(out))
             assert pid == "\u00df" and path.points.shape == (5, 1)
+
+    def test_stdout_prints_nothing_it_cannot_encode(self, tmp_path):
+        # stdout is ASCII here, so each table fails whole: no header is printed
+        f = tmp_path / "p.csv"
+        f.write_bytes("id,x1,x2\n\u00df,0,0\n\u00df,1,0.5\n\u00df,0.25,1.5\n".encode())
+        sig = tmp_path / "sig.json"
+        assert main(["sign", str(f), "--depth", "4", "--out", str(sig)]) == 0
+        for argv in (["invert", str(sig)], ["roundtrip", str(f), "--depths", "4"],
+                     ["trend", str(f), "--depth", "4"]):
+            proc = run_module(tmp_path, *argv, LC_ALL="C",
+                              PYTHONCOERCECLOCALE="0", PYTHONUTF8="0")
+            assert (proc.returncode, proc.stdout) == (2, b""), argv
+            [line] = proc.stderr.decode().splitlines()
+            assert line.startswith("error: ") and "ascii" in line, argv
 
     def test_malformed_csv_exits_2_with_one_line(self, tmp_path):
         f = tmp_path / "bad.csv"

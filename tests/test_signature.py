@@ -202,16 +202,23 @@ class TestHornerKernel:
         finally:
             set_allocation_cap(previous)
 
+    def test_scratch_size_is_the_largest_block_of_each_parity(self):
+        # the guard and the batch chunks count what the sweep allocates
+        for d, depth in itertools.product(range(1, 6), range(13)):
+            blocks = [(depth - m + 1) * d**m for m in range(1, depth + 1)]
+            want = max(blocks[0::2], default=0) + max(blocks[1::2], default=0)
+            assert signature._scratch_size(d, depth) == want, (d, depth)
+
     def test_allocation_cap_counts_one_dimensional_scratch(self):
-        # d = 1: one coefficient per level, but depth (depth + 1) / 2 of
-        # scratch; 88 * 89 / 2 = 3916 <= 4 * 1000 < 89 * 90 / 2 = 4005
+        # d = 1: one coefficient per level, but 2 depth - 1 of scratch;
+        # 2 * 2000 - 1 = 3999 <= 4 * 1000 < 2 * 2001 - 1 = 4001
         p = PiecewiseLinearPath([[0.0], [1.0]])
         previous = get_allocation_cap()
         set_allocation_cap(1000)
         try:
-            assert path_signature(p, 88).level(88).size == 1
+            assert path_signature(p, 2000).level(2000).size == 1
             with pytest.raises(AllocationCapError, match="scratch"):
-                path_signature(p, 89)
+                path_signature(p, 2001)
         finally:
             set_allocation_cap(previous)
 
@@ -237,6 +244,15 @@ def assert_bitwise_equal(got, want):
     assert (got.dim, got.depth) == (want.dim, want.depth)
     for k in range(want.depth + 1):
         assert got.level(k).tobytes() == want.level(k).tobytes(), k
+
+
+def traced_peak(f, *args):
+    """``f(*args)`` and the peak of the memory traced while it ran."""
+    tracemalloc.start()
+    try:
+        return f(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def overflow_message(paths, depth):
@@ -269,8 +285,8 @@ class TestBatchSignature:
 
     def test_default_budget_chunks_keep_input_order(self, rng):
         # alternating segment counts, with more 3-segment paths than one
-        # chunk of the default budget holds (d = 2, depth 6: 1,092 paths)
-        counts = [3, 1, 3, 40, 3, 3] * 300
+        # chunk of the default budget holds (d = 2, depth 6: 2,048 paths)
+        counts = [3, 1, 3, 40, 3, 3] * 600
         paths = [irregular_path(rng, m, 2, 1.0) for m in counts]
         assert counts.count(3) > signature._BATCH_SCRATCH // signature._scratch_size(2, 6)
         got = batch_signature(paths, 6)
@@ -286,14 +302,23 @@ class TestBatchSignature:
         # the long one's 20,000 segments (80 MB for the batch)
         long = PiecewiseLinearPath(np.cumsum(rng.normal(size=(20_001, 1)), axis=0))
         paths = [PiecewiseLinearPath(rng.normal(size=(2, 1))) for _ in range(500)]
-        tracemalloc.start()
-        try:
-            got = batch_signature(paths + [long], 2)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        got, peak = traced_peak(batch_signature, paths + [long], 2)
         assert peak < 4 * 2**20
         assert_bitwise_equal(got[-1], path_signature(long, 2))
+
+    @pytest.mark.parametrize("points, depth, mib", [
+        # one column: 2 depth - 1 scratch coefficients, against 61 MiB for
+        # a scratch of depth (depth + 1) / 2
+        ([[0.0], [1.0], [3.0]], 4000, 8),
+        # the 100-segment half-circle: a 2 MiB table and 2 MiB of scratch,
+        # against 4 MiB for a scratch array per degree
+        (np.column_stack([np.cos(np.linspace(0.0, math.pi, 101)),
+                          np.sin(np.linspace(0.0, math.pi, 101))]), 17, 4.5),
+    ], ids=["one-column", "half-circle"])
+    def test_sweep_memory_is_bounded(self, points, depth, mib):
+        path = PiecewiseLinearPath(points)
+        _, peak = traced_peak(path_signature, path, depth)
+        assert peak < mib * 2**20
 
     def test_signatures_own_their_levels(self, rng):
         # a kept signature must not hold the levels of its whole chunk:
