@@ -157,31 +157,44 @@ def require_clean_angles(geom: SegmentGeometry) -> None:
         )
 
 
-def _scratch_size(d: int, depth: int) -> int:
-    """Coefficients of one path's Horner scratch: the largest degree-m block
-    of (depth - m + 1) d^m, m = 1..depth, of each parity.  For d >= 2 the
-    blocks grow with m, so the two largest are m = depth and depth - 1; for
-    d = 1 they shrink, so the two largest are m = 1 and 2."""
-    if depth < 2:
-        return d * depth
+def _parity_blocks(d: int, depth: int) -> tuple[int, int]:
+    """Coefficients per path of the sweep's two scratch buffers: the largest
+    degree-m block of (depth - m + 1) d^m, m = 1..depth, of even and of odd
+    m.  For d >= 2 the blocks grow with m, so the two largest are m = depth
+    and depth - 1; for d = 1 they shrink, so the two largest are m = 1 and 2."""
     if d == 1:
-        return 2 * depth - 1
-    return d**depth + 2 * d ** (depth - 1)
+        return max(depth - 1, 0), depth
+    top = d**depth if depth else 0
+    below = 2 * d ** (depth - 1) if depth > 1 else 0
+    return (top, below) if depth % 2 == 0 else (below, top)
+
+
+def _scratch_size(d: int, depth: int) -> int:
+    """Coefficients of one path's Horner scratch: d^depth + 2 d^(depth - 1)
+    for d >= 2 and 2 depth - 1 for d = 1, at depth >= 2."""
+    return sum(_parity_blocks(d, depth))
+
+
+# The numpy views the sweep makes per degree, in 8-byte coefficients: its
+# steps, scratch and level views and the signature's level views, about
+# 1.15 KB a degree with numpy 2.4, against 16 bytes of scratch at d = 1.
+_DEGREE_VIEWS = 160
 
 
 def _check_scratch(d: int, depth: int) -> None:
-    """Refuse a Horner scratch above 4 times the allocation cap.
+    """Refuse a sweep above 4 times the allocation cap: its scratch and its
+    per-degree views, counted as ``_DEGREE_VIEWS`` coefficients a degree.
 
-    For d >= 2 the scratch is at most 2 top levels, which the cap already
-    bounds; for d = 1 it is 2 depth - 1 coefficients, so the depth is
-    refused past about twice the cap.
+    For d >= 2 both are at most 2 top levels plus 160 depth, which a cap of
+    a thousand or more already bounds; for d = 1 they are 162 depth - 1
+    coefficients, so the depth is refused past about a fortieth of the cap.
     """
-    size = _scratch_size(d, depth)
+    size = _scratch_size(d, depth) + _DEGREE_VIEWS * depth
     cap = get_allocation_cap()
     if size > 4 * cap:
         raise AllocationCapError(
-            f"signing to depth {depth} over R^{d} needs {size} scratch "
-            f"coefficients, above 4 times the cap of {cap}; "
+            f"signing to depth {depth} over R^{d} needs {size} coefficients "
+            f"of scratch and views, above 4 times the cap of {cap}; "
             "raise it with set_allocation_cap() or --max-coeffs"
         )
 
@@ -205,7 +218,7 @@ def _horner_sweep(increments: np.ndarray, depth: int) -> np.ndarray:
     advance together one degree at a time, so each degree has one scratch
     block and one multiply per segment.  Degree m reads only degree m - 1,
     so the blocks of odd and of even degrees each share one buffer, sized
-    for the largest block of its parity (``_scratch_size`` per path).
+    for the largest block of its parity (``_parity_blocks`` per path).
     Folding from the right keeps the length-d factor on the left of each
     outer product, and the batch axis is last, so numpy's inner loop runs
     over the N paths at every degree.  Entries are not checked: an
@@ -217,13 +230,12 @@ def _horner_sweep(increments: np.ndarray, depth: int) -> np.ndarray:
     levels = [table[_size(d, k - 1):_size(d, k)] for k in range(depth + 1)]
     # Row r of scratch[m] holds the degree-m partial product of level m + r;
     # its row 0 is complete and is added to level m.
-    sizes = [(depth - m + 1) * d**m * n for m in range(depth + 1)]
     # buffers[p] holds the blocks of the degrees m >= 1 with m % 2 == p,
     # allocated apart, so neither is larger than the largest block
-    buffers = [np.empty(max(sizes[2 - p::2], default=0)) for p in (0, 1)]
+    buffers = [np.empty(size * n) for size in _parity_blocks(d, depth)]
     scratch = [np.ones((depth + 1, 1, 1))]
-    scratch += [buffers[m % 2][:sizes[m]].reshape(depth - m + 1, d**m, n)
-                for m in range(1, depth + 1)]
+    scratch += [buffers[m % 2][:(depth - m + 1) * d**m * n]
+                .reshape(depth - m + 1, d**m, n) for m in range(1, depth + 1)]
     inv = (1.0 / np.arange(1, depth + 1))[:, None, None, None]
     # row r: v / (r + 1), the left factor of row r at every degree
     vs = np.empty((depth, d, 1, n))

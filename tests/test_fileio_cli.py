@@ -873,9 +873,12 @@ class TestBadArguments:
 
     def test_one_dimensional_scratch_cap(self, tmp_path, capsys):
         f = write_path_csv_file(tmp_path, "line.csv", [[0.0], [1.0]])
-        assert main(["sign", f, "--depth", "2000", "--max-coeffs", "1000"]) == 0
-        assert json.loads(capsys.readouterr().out)["depth"] == 2000
-        assert main(["sign", f, "--depth", "2001", "--max-coeffs", "1000"]) == 3
+        assert main(["sign", f, "--depth", "24", "--max-coeffs", "1000"]) == 0
+        assert json.loads(capsys.readouterr().out)["depth"] == 24
+        assert main(["sign", f, "--depth", "25", "--max-coeffs", "1000"]) == 3
+        assert_one_error_line(capsys)
+        # the default cap refuses a depth whose views alone would take 12 GB
+        assert main(["sign", f, "--depth", "10000000"]) == 3
         assert_one_error_line(capsys)
 
     def test_depth_2_pow_53_is_past_the_cap(self, square, capsys):

@@ -17,7 +17,7 @@ from siginvert import (
 )
 from siginvert import signature
 from siginvert.signature import require_clean_angles
-from siginvert.tensor_algebra import get_allocation_cap
+from siginvert.tensor_algebra import DEFAULT_MAX_COEFFS, get_allocation_cap
 
 from conftest import random_path
 from oracles import (
@@ -206,21 +206,39 @@ class TestHornerKernel:
         # the guard and the batch chunks count what the sweep allocates
         for d, depth in itertools.product(range(1, 6), range(13)):
             blocks = [(depth - m + 1) * d**m for m in range(1, depth + 1)]
-            want = max(blocks[0::2], default=0) + max(blocks[1::2], default=0)
-            assert signature._scratch_size(d, depth) == want, (d, depth)
+            want = max(blocks[1::2], default=0), max(blocks[0::2], default=0)
+            assert signature._parity_blocks(d, depth) == want, (d, depth)
+            assert signature._scratch_size(d, depth) == sum(want), (d, depth)
 
     def test_allocation_cap_counts_one_dimensional_scratch(self):
-        # d = 1: one coefficient per level, but 2 depth - 1 of scratch;
-        # 2 * 2000 - 1 = 3999 <= 4 * 1000 < 2 * 2001 - 1 = 4001
+        # d = 1: one coefficient per level, but 2 depth - 1 of scratch and
+        # 160 a degree of views; 162 * 24 - 1 <= 4 * 1000 < 162 * 25 - 1
         p = PiecewiseLinearPath([[0.0], [1.0]])
         previous = get_allocation_cap()
         set_allocation_cap(1000)
         try:
-            assert path_signature(p, 2000).level(2000).size == 1
+            assert path_signature(p, 24).level(24).size == 1
             with pytest.raises(AllocationCapError, match="scratch"):
-                path_signature(p, 2001)
+                path_signature(p, 25)
         finally:
             set_allocation_cap(previous)
+        # the default cap refuses 162 * 10**7 - 1 before the sweep allocates
+        assert get_allocation_cap() == DEFAULT_MAX_COEFFS
+        tracemalloc.start()
+        try:
+            with pytest.raises(AllocationCapError, match="scratch"):
+                path_signature(p, 10**7)
+            assert tracemalloc.get_traced_memory()[1] < 2**20
+        finally:
+            tracemalloc.stop()
+
+    def test_scratch_guard_counts_the_sweeps_memory(self):
+        # at d = 1 the views, not the scratch, are most of what signing holds
+        p = PiecewiseLinearPath([[0.0], [1.0], [3.0]])
+        for depth in (1000, 4000):
+            _, peak = traced_peak(path_signature, p, depth)
+            counted = signature._scratch_size(1, depth) + signature._DEGREE_VIEWS * depth
+            assert peak <= 8 * counted, depth
 
     def test_repeated_points_add_exact_zeros(self, rng):
         for d in (1, 2, 3):
@@ -307,8 +325,8 @@ class TestBatchSignature:
         assert_bitwise_equal(got[-1], path_signature(long, 2))
 
     @pytest.mark.parametrize("points, depth, mib", [
-        # one column: 2 depth - 1 scratch coefficients, against 61 MiB for
-        # a scratch of depth (depth + 1) / 2
+        # one column: 2 depth - 1 scratch coefficients and the views of
+        # 4000 degrees, against 61 MiB for a scratch of depth (depth + 1) / 2
         ([[0.0], [1.0], [3.0]], 4000, 8),
         # the 100-segment half-circle: a 2 MiB table and 2 MiB of scratch,
         # against 4 MiB for a scratch array per degree
