@@ -1,14 +1,15 @@
 """Truncated signatures of piecewise linear paths.
 
 A linear segment with displacement v has the signature exp(v), whose level
-k is v^{(x)k} / k!.  ``batch_signature`` multiplies the running signatures
-of a batch of paths in place by exp(v) of each segment, right to left, with
-Horner's scheme: O(M d^depth (d/(d-1))^2) work for M segments, with each
-degree's scratch in one of two buffers by its parity, since degree m reads
-only degree m - 1.  The batch axis is the last axis of every level and
-scratch array, so each numpy call runs over all the paths of a chunk;
+k is v^{(x)k} / k!.  Over R^1 a path's signature is exp(x), x its
+displacement.  Over R^d, d >= 2, ``batch_signature`` multiplies the
+running signatures of a batch of paths in place by exp(v) of each segment,
+right to left, with Horner's scheme: O(M d^depth (d/(d-1))^2) work for M
+segments, with each degree's scratch in one of two buffers by its parity,
+since degree m reads only degree m - 1.  The batch axis is the last axis of
+every level and scratch array, so each numpy call runs over a chunk's paths;
 ``path_signature`` is the batch of one path.  Each signature is a
-``TruncatedSignature`` over its own buffer: the sweep's table for a path
+``TruncatedSignature`` over its own buffer: the chunk's table for a path
 signed alone, a copy of its path's column of the chunk's table otherwise.
 """
 
@@ -20,9 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AllocationCapError, AssumptionViolation
+from .errors import AssumptionViolation
 from .tensor_algebra import (TruncatedSignature, _size, _wrap, check_allocation,
-                             check_count, get_allocation_cap)
+                             check_count, check_levels)
 
 # Angles within this tolerance of 0 or pi fail require_clean_angles.
 ANGLE_TOL = 1e-9
@@ -158,12 +159,10 @@ def require_clean_angles(geom: SegmentGeometry) -> None:
 
 
 def _parity_blocks(d: int, depth: int) -> tuple[int, int]:
-    """Coefficients per path of the sweep's two scratch buffers: the largest
-    degree-m block of (depth - m + 1) d^m, m = 1..depth, of even and of odd
-    m.  For d >= 2 the blocks grow with m, so the two largest are m = depth
-    and depth - 1; for d = 1 they shrink, so the two largest are m = 1 and 2."""
-    if d == 1:
-        return max(depth - 1, 0), depth
+    """Coefficients per path of the sweep's two scratch buffers, d >= 2: the
+    largest degree-m block of (depth - m + 1) d^m, m = 1..depth, of even and
+    of odd m.  The blocks grow with m, so the two largest are m = depth and
+    depth - 1."""
     top = d**depth if depth else 0
     below = 2 * d ** (depth - 1) if depth > 1 else 0
     return (top, below) if depth % 2 == 0 else (below, top)
@@ -171,43 +170,21 @@ def _parity_blocks(d: int, depth: int) -> tuple[int, int]:
 
 def _scratch_size(d: int, depth: int) -> int:
     """Coefficients of one path's Horner scratch: d^depth + 2 d^(depth - 1)
-    for d >= 2 and 2 depth - 1 for d = 1, at depth >= 2."""
+    at depth >= 2."""
     return sum(_parity_blocks(d, depth))
-
-
-# The numpy views the sweep makes per degree, in 8-byte coefficients: its
-# steps, scratch and level views and the signature's level views, about
-# 1.15 KB a degree with numpy 2.4, against 16 bytes of scratch at d = 1.
-_DEGREE_VIEWS = 160
-
-
-def _check_scratch(d: int, depth: int) -> None:
-    """Refuse a sweep above 4 times the allocation cap: its scratch and its
-    per-degree views, counted as ``_DEGREE_VIEWS`` coefficients a degree.
-
-    For d >= 2 both are at most 2 top levels plus 160 depth, which a cap of
-    a thousand or more already bounds; for d = 1 they are 162 depth - 1
-    coefficients, so the depth is refused past about a fortieth of the cap.
-    """
-    size = _scratch_size(d, depth) + _DEGREE_VIEWS * depth
-    cap = get_allocation_cap()
-    if size > 4 * cap:
-        raise AllocationCapError(
-            f"signing to depth {depth} over R^{d} needs {size} coefficients "
-            f"of scratch and views, above 4 times the cap of {cap}; "
-            "raise it with set_allocation_cap() or --max-coeffs"
-        )
 
 
 # Scratch coefficients (``_scratch_size`` per path) one batched sweep holds:
 # a batch of paths with equal segment counts whose scratch would be larger
-# is signed in chunks.
+# is signed in chunks.  Over R^1 there is no sweep, and a chunk's table,
+# depth + 1 coefficients a path, is smaller than its signatures' level views.
 _BATCH_SCRATCH = 2**18
 
 
 def _horner_sweep(increments: np.ndarray, depth: int) -> np.ndarray:
     """Levels 0..depth of the N paths with segment displacements ``increments``
-    (M, d, N), as one (sum_k d**k, N) array of level blocks, a path per column.
+    (M, d, N), d >= 2, as one (sum_k d**k, N) array of level blocks, a path
+    per column.
 
     The segments are folded right to left, S <- exp(v) (x) S, with v the
     segment's displacement.  By Horner's scheme every level n >= 1 gains
@@ -262,15 +239,17 @@ def batch_signature(paths, depth: int) -> list[TruncatedSignature]:
     Paths with equal segment counts are signed together, one sweep of
     ``_horner_sweep`` per chunk whose Horner scratch stays under
     ``_BATCH_SCRATCH`` coefficients; a path whose count no other path
-    shares is signed alone.  A path signed alone keeps its sweep column, one of
-    a wider chunk gets a copy; each is checked before the next chunk.  Cost
-    O(M d^depth (d/(d-1))^2) multiply-adds per path of M segments; level 1
-    equals the endpoint displacement.
+    shares is signed alone.  A path signed alone keeps its table column, one
+    of a wider chunk gets a copy; each is checked before the next chunk.
+    Cost O(M d^depth (d/(d-1))^2) multiply-adds per path of M segments.
+    Over R^1 a path's column is exp(x), x its endpoint displacement: level
+    k is the running product of x/j, j = 1..k, the same in any batch and at
+    any depth.  Level 1 equals the endpoint displacement.
 
     A level that overflows float64 raises AssumptionViolation for the first
-    such path in input order, and a scratch above 4 times the allocation
-    cap raises AllocationCapError.  Paths of different dimensions raise
-    ValueError.
+    such path in input order; a top level past the allocation cap, or a
+    level count past ``check_levels``, raises AllocationCapError.  Paths of
+    different dimensions raise ValueError.
     """
     depth = check_count("depth", depth)
     paths = list(paths)
@@ -280,7 +259,7 @@ def batch_signature(paths, depth: int) -> list[TruncatedSignature]:
     if any(p.dim != d for p in paths):
         raise ValueError("the paths of one batch must share a dimension")
     check_allocation(d, depth)
-    _check_scratch(d, depth)
+    check_levels(d, depth)
     counts = np.array([p.num_segments for p in paths])
     order = np.argsort(counts, kind="stable")
     groups = np.split(order, np.flatnonzero(np.diff(counts[order])) + 1)
@@ -289,9 +268,14 @@ def batch_signature(paths, depth: int) -> list[TruncatedSignature]:
     for idx in (g[lo:lo + chunk] for g in groups for lo in range(0, len(g), chunk)):
         # an overflow leaves inf or nan behind, which _wrap refuses
         with np.errstate(over="ignore", invalid="ignore"):
-            increments = np.stack([np.diff(paths[i].points, axis=0) for i in idx],
-                                  axis=-1)
-            table = _horner_sweep(increments, depth)
+            if d == 1:
+                x = np.diff([paths[i].points[[0, -1], 0] for i in idx])[:, 0]
+                steps = x / np.arange(1.0, depth + 1)[:, None]
+                table = np.cumprod(np.vstack([np.ones_like(x), steps]), axis=0)
+            else:
+                increments = np.stack([np.diff(paths[i].points, axis=0)
+                                       for i in idx], axis=-1)
+                table = _horner_sweep(increments, depth)
         table.setflags(write=False)
         for j, i in enumerate(idx):
             column = table.reshape(-1) if len(idx) == 1 else table[:, j].copy()
@@ -308,10 +292,12 @@ def batch_signature(paths, depth: int) -> list[TruncatedSignature]:
 
 def path_signature(path: PiecewiseLinearPath, depth: int) -> TruncatedSignature:
     """Signature of a piecewise linear path: ``batch_signature`` of the one
-    path, one in-place Horner step per segment (see ``_horner_sweep``).
+    path, one in-place Horner step per segment (see ``_horner_sweep``), or
+    exp of its displacement over R^1.
 
-    A level that overflows float64 raises AssumptionViolation, and a
-    scratch above 4 times the allocation cap raises AllocationCapError.
+    A level that overflows float64 raises AssumptionViolation; a top level
+    past the allocation cap, or a level count past ``check_levels``, raises
+    AllocationCapError.
     """
     return batch_signature([path], depth)[0]
 

@@ -42,6 +42,17 @@ def check_allocation(dim: int, degree: int) -> None:
         )
 
 
+def check_levels(dim: int, depth: int) -> None:
+    """Refuse levels 0..depth past 4 times the cap, at 17 coefficients a
+    level: a level's numpy view takes about 128 bytes, most of what a
+    signature over R^1 holds.  At dim >= 2 only a cap below 22 reaches it."""
+    if 17 * (depth + 1) > 4 * _max_coeffs:
+        raise AllocationCapError(
+            f"a depth-{depth} signature over R^{dim} has {depth + 1} levels, "
+            f"17 coefficients each with its view, above 4 times the cap of "
+            f"{_max_coeffs}; raise it with set_allocation_cap() or --max-coeffs")
+
+
 def check_count(name: str, value, low: int = 0, high: int = 2**53) -> int:
     """The one check of a count argument: an integer that is not a bool
     (numpy integers included) in [low, high], returned as a Python int.
@@ -66,7 +77,8 @@ class TruncatedSignature:
     ceiling), kept as an int; each level is converted to float64 and checked
     against the allocation cap, its shape and finiteness, in level order;
     last, dim itself against the cap, so a depth-0 signature cannot claim
-    any dim.  The buffer is a copy of the levels.  Equality is identity."""
+    any dim, and the level count (``check_levels``), as signing checks it.
+    The buffer is a copy of the levels.  Equality is identity."""
 
     dim: int
     levels: tuple[np.ndarray, ...] = field(repr=False)
@@ -87,6 +99,7 @@ class TruncatedSignature:
                 raise ValueError(f"level {k} has a non-finite entry")
             levels.append(c)
         check_allocation(dim, 1)
+        check_levels(dim, k)
         vars(self).update(vars(_wrap(dim, k, np.concatenate(levels), check=False)))
 
     @property

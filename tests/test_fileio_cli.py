@@ -331,6 +331,16 @@ class TestSignInvertCli:
             want = np.array([0.5, -1.0]) + t * np.array([1.0, 3.0])
             np.testing.assert_allclose(pt, want, atol=1e-9)
 
+    def test_backtracking_one_column_path_inverts_to_its_end(self, tmp_path):
+        # signed by Horner's scheme, its top levels were lost to
+        # cancellation, and the inversion ended at 315.38
+        f = write_path_csv_file(tmp_path, "x.csv", [[0.0], [150.0], [20.0], [40.0]])
+        sig_file, out_file = str(tmp_path / "sig.json"), str(tmp_path / "r.csv")
+        assert main(["sign", f, "--depth", "30", "--out", sig_file]) == 0
+        assert main(["invert", sig_file, "--out", out_file]) == 0
+        [(_, recon)] = read_paths_csv(out_file)
+        assert abs(recon.points[-1, 0] - 40.0) <= 1e-9
+
     def test_json_byte_order_mark_is_dropped(self, tmp_path):
         # with the mark, json.load refused the file as invalid JSON
         f = write_path_csv_file(tmp_path, "p.csv", [[0.0, 0.0], [1.0, 0.5],
@@ -538,6 +548,19 @@ class TestRoundtripAndTrend:
             assert main(["trend", f, "--depth", str(depth)]) == 0
             [(_, recon)] = read_paths_csv(io.StringIO(capsys.readouterr().out))
             assert recon.points.shape == (rows_expected, 2)
+
+    def test_trend_of_a_one_column_walk_ends_at_its_last_point(self, tmp_path,
+                                                               capsys):
+        # a 50-step Gaussian walk whose depth-12 trend, signed by Horner's
+        # scheme, missed its last point by a fifth of its length
+        walk = np.cumsum(np.random.default_rng(5).normal(size=(6, 51, 1)),
+                         axis=1)[5]
+        f = write_path_csv_file(tmp_path, "walk.csv", walk)
+        assert main(["trend", f, "--depth", "12"]) == 0
+        [(_, recon)] = read_paths_csv(io.StringIO(capsys.readouterr().out))
+        length = np.abs(np.diff(walk[:, 0])).sum()
+        np.testing.assert_allclose(recon.points[-1], walk[-1], rtol=0,
+                                   atol=1e-14 * (length + abs(walk[0, 0])))
 
     def test_trend_rejects_multiple_paths(self, tmp_path):
         f = tmp_path / "two.csv"
@@ -871,14 +894,28 @@ class TestBadArguments:
                      "--out", str(out_file)]) == 4
         assert not out_file.exists()
 
-    def test_one_dimensional_scratch_cap(self, tmp_path, capsys):
-        f = write_path_csv_file(tmp_path, "line.csv", [[0.0], [1.0]])
-        assert main(["sign", f, "--depth", "24", "--max-coeffs", "1000"]) == 0
-        assert json.loads(capsys.readouterr().out)["depth"] == 24
-        assert main(["sign", f, "--depth", "25", "--max-coeffs", "1000"]) == 3
+    def test_one_dimensional_level_cap(self, tmp_path, capsys):
+        # 17 coefficients a level, 17 * 235 <= 4 * 1000 < 17 * 236, for a
+        # path signed and a record read alike
+        f = write_path_csv_file(tmp_path, "line.csv", [[0.0], [100.0]])
+        sig_file, out_file = tmp_path / "sig.json", str(tmp_path / "r.csv")
+        assert main(["sign", f, "--depth", "234", "--max-coeffs", "1000",
+                     "--out", str(sig_file)]) == 0
+        assert main(["invert", str(sig_file), "--max-coeffs", "1000",
+                     "--out", out_file]) == 0
+        [(_, recon)] = read_paths_csv(out_file)
+        assert recon.points.shape == (235, 1)
+        assert abs(recon.points[-1, 0] - 100.0) <= 1e-9
+        assert main(["sign", f, "--depth", "235", "--max-coeffs", "1000"]) == 3
         assert_one_error_line(capsys)
-        # the default cap refuses a depth whose views alone would take 12 GB
-        assert main(["sign", f, "--depth", "10000000"]) == 3
+        rec = json.loads(sig_file.read_text())
+        rec["depth"] += 1
+        rec["levels"].append(rec["levels"][-1])
+        sig_file.write_text(json.dumps(rec))
+        assert main(["invert", str(sig_file), "--max-coeffs", "1000"]) == 3
+        assert_one_error_line(capsys)
+        # the default cap refuses from depth 23,529,411 on
+        assert main(["sign", f, "--depth", "23529411"]) == 3
         assert_one_error_line(capsys)
 
     def test_depth_2_pow_53_is_past_the_cap(self, square, capsys):

@@ -220,16 +220,26 @@ class TestInvertSignature:
     def test_endpoint_matches_level_one(self, rng):
         # the shuffle identity gives sum_p y_p = n X^1, so the top levels
         # alone put the last point at start + X^1, up to rounding, at every
-        # shape; a slot whose row is read off the wrong entries breaks it
+        # shape; a slot whose row is read off the wrong entries breaks it,
+        # and so do top levels lost to cancellation, as backtracking over
+        # R^1 once lost them
         for d, n in SHAPES + DEEP_SHAPES:
-            path = sweep_paths(rng, 1, d)[0]
-            start = rng.standard_normal(d)
-            sig = path_signature(path, n)
-            last = invert_signature(sig, start).path.points[-1]
-            np.testing.assert_allclose(
-                last, start + sig.level(1), rtol=0,
-                atol=1e-14 * (_length(path) + np.abs(start).max()),
-                err_msg=f"(d, n) = ({d}, {n})")
+            for path in sweep_paths(rng, 2 if d == 1 else 1, d):
+                start = rng.standard_normal(d)
+                sig = path_signature(path, n)
+                last = invert_signature(sig, start).path.points[-1]
+                np.testing.assert_allclose(
+                    last, start + sig.level(1), rtol=0,
+                    atol=1e-14 * (_length(path) + np.abs(start).max()),
+                    err_msg=f"(d, n) = ({d}, {n})")
+
+    def test_backtracking_one_column_path_ends_at_its_end_at_depth_1000(self):
+        # over R^1 the signature is exp(X^1) at every depth; signed by
+        # Horner's scheme, backtracking lost the top levels to cancellation
+        path = PiecewiseLinearPath([[0.0], [500.0], [100.0], [420.0]])
+        last = invert_signature(path_signature(path, 1000)).path.points[-1]
+        np.testing.assert_allclose(last, [420.0], rtol=0,
+                                   atol=1e-14 * _length(path))
 
     def test_closed_loop_ends_at_its_start(self):
         theta = np.linspace(0.0, 2.0 * math.pi, 13)
@@ -474,11 +484,15 @@ BATCH_SHAPES = [(1, 40), (2, 3), (2, 6), (2, 12), (2, 14), (2, 16), (2, 17),
 
 
 def sweep_paths(rng, count, d):
-    """``count`` random 4-segment paths in R^d that are not tree-like,
-    monotone at d = 1, so that their top levels are not rounding noise."""
+    """``count`` random 4-segment paths in R^d that are not tree-like.  At
+    d = 1 the even ones are monotone and the odd ones backtrack, 1 to 2
+    forward and up to 1/2 back, so that |X^1| >= 1 keeps their top levels
+    out of rounding noise."""
     if d == 1:
-        return [PiecewiseLinearPath(np.cumsum(rng.random((5, 1)), axis=0))
-                for _ in range(count)]
+        steps = rng.random((count, 5, 1))
+        steps[1::2, 1::2] += 1.0
+        steps[1::2, 2::2] *= -0.5
+        return [PiecewiseLinearPath(np.cumsum(s, axis=0)) for s in steps]
     return [random_path(rng, 4, d) for _ in range(count)]
 
 

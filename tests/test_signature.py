@@ -9,6 +9,7 @@ from siginvert import (
     AllocationCapError,
     AssumptionViolation,
     PiecewiseLinearPath,
+    TruncatedSignature,
     batch_signature,
     constant_speed_reparam,
     path_signature,
@@ -203,42 +204,52 @@ class TestHornerKernel:
             set_allocation_cap(previous)
 
     def test_scratch_size_is_the_largest_block_of_each_parity(self):
-        # the guard and the batch chunks count what the sweep allocates
-        for d, depth in itertools.product(range(1, 6), range(13)):
+        # the batch chunks count what the sweep allocates; d = 1 has no sweep
+        for d, depth in itertools.product(range(2, 6), range(13)):
             blocks = [(depth - m + 1) * d**m for m in range(1, depth + 1)]
             want = max(blocks[1::2], default=0), max(blocks[0::2], default=0)
             assert signature._parity_blocks(d, depth) == want, (d, depth)
             assert signature._scratch_size(d, depth) == sum(want), (d, depth)
 
-    def test_allocation_cap_counts_one_dimensional_scratch(self):
-        # d = 1: one coefficient per level, but 2 depth - 1 of scratch and
-        # 160 a degree of views; 162 * 24 - 1 <= 4 * 1000 < 162 * 25 - 1
+    def test_allocation_cap_counts_one_dimensional_levels(self):
+        # d = 1: one coefficient a level and a numpy view of about 128
+        # bytes, 17 coefficients in all; 17 * 235 <= 4 * 1000 < 17 * 236
         p = PiecewiseLinearPath([[0.0], [1.0]])
         previous = get_allocation_cap()
         set_allocation_cap(1000)
         try:
-            assert path_signature(p, 24).level(24).size == 1
-            with pytest.raises(AllocationCapError, match="scratch"):
-                path_signature(p, 25)
+            assert path_signature(p, 234).level(234).size == 1
+            with pytest.raises(AllocationCapError, match="236 levels"):
+                path_signature(p, 235)
         finally:
             set_allocation_cap(previous)
-        # the default cap refuses 162 * 10**7 - 1 before the sweep allocates
+        # the default cap refuses from depth 23,529,411 on, before the
+        # table is built
         assert get_allocation_cap() == DEFAULT_MAX_COEFFS
-        tracemalloc.start()
-        try:
-            with pytest.raises(AllocationCapError, match="scratch"):
-                path_signature(p, 10**7)
-            assert tracemalloc.get_traced_memory()[1] < 2**20
-        finally:
-            tracemalloc.stop()
+        for depth in (23_529_411, 10**9):
+            tracemalloc.start()
+            try:
+                with pytest.raises(AllocationCapError, match="levels"):
+                    path_signature(p, depth)
+                assert tracemalloc.get_traced_memory()[1] < 2**20
+            finally:
+                tracemalloc.stop()
 
-    def test_scratch_guard_counts_the_sweeps_memory(self):
-        # at d = 1 the views, not the scratch, are most of what signing holds
+    def test_level_count_covers_a_one_column_signature(self):
+        # what a signed or constructed one-column signature holds, its
+        # coefficients and level views, is within 17 coefficients a level
         p = PiecewiseLinearPath([[0.0], [1.0], [3.0]])
         for depth in (1000, 4000):
-            _, peak = traced_peak(path_signature, p, depth)
-            counted = signature._scratch_size(1, depth) + signature._DEGREE_VIEWS * depth
-            assert peak <= 8 * counted, depth
+            levels = [[1.0]] * (depth + 1)
+            for make in (lambda: path_signature(p, depth),
+                         lambda: TruncatedSignature(1, levels)):
+                tracemalloc.start()
+                try:
+                    sig = make()
+                    held = tracemalloc.get_traced_memory()[0]
+                finally:
+                    tracemalloc.stop()
+                assert sig.depth == depth and held <= 8 * 17 * (depth + 1), depth
 
     def test_repeated_points_add_exact_zeros(self, rng):
         for d in (1, 2, 3):
@@ -325,8 +336,8 @@ class TestBatchSignature:
         assert_bitwise_equal(got[-1], path_signature(long, 2))
 
     @pytest.mark.parametrize("points, depth, mib", [
-        # one column: 2 depth - 1 scratch coefficients and the views of
-        # 4000 degrees, against 61 MiB for a scratch of depth (depth + 1) / 2
+        # one column: the closed form's table and the views of 4001 levels,
+        # against 61 MiB for a Horner scratch of depth (depth + 1) / 2
         ([[0.0], [1.0], [3.0]], 4000, 8),
         # the 100-segment half-circle: a 2 MiB table and 2 MiB of scratch,
         # against 4 MiB for a scratch array per degree

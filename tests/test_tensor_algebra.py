@@ -387,6 +387,22 @@ class TestConstructor:
         x[0] = 1.0
         assert sig.level(1).tolist() == [0.5, 0.25]
 
+    def test_constructor_refuses_the_depth_signing_refuses(self):
+        # over R^1 both count 17 coefficients a level against 4 times the cap
+        path = PiecewiseLinearPath([[0.0], [1.0]])
+        try:
+            for cap in (5, 1000, 4321):
+                set_allocation_cap(cap)
+                depth = 4 * cap // 17 - 1
+                sig = path_signature(path, depth)
+                assert TruncatedSignature(1, sig.levels).depth == depth
+                for make in (lambda: path_signature(path, depth + 1),
+                             lambda: TruncatedSignature(1, sig.levels + ([0.0],))):
+                    with pytest.raises(AllocationCapError, match="levels"):
+                        make()
+        finally:
+            set_allocation_cap(DEFAULT_MAX_COEFFS)
+
     def test_dim_past_the_cap_refused_at_depth_0(self):
         set_allocation_cap(1000)
         try:
