@@ -8,15 +8,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .development import k_of_omega
-from .insertion import invert_signature
+from .insertion import _invert_depths
 from .signature import (
     PiecewiseLinearPath,
     constant_speed_reparam,
-    path_signature,
     require_clean_angles,
     segment_geometry,
 )
-from .tensor_algebra import _prefix, check_count
+from .tensor_algebra import check_count
 
 
 def _check(delta, *, ell=1.0, segments=1, n=0) -> None:
@@ -128,9 +127,9 @@ class ErrorComparison:
 
 def compare_recovery(path: PiecewiseLinearPath,
                      depth_list) -> list[ErrorComparison]:
-    """Sign the path once to depth max(n)+1; for each depth n >= 1, invert
-    its levels up to n+1, a prefix view, read every segment's slope off
-    the probe slot, and record the measured error against the bound."""
+    """Invert the path at depth n+1 for each depth n >= 1, all from one
+    signature at depth max(n)+1, read every segment's slope off the probe
+    slot, and record the measured error against the bound."""
     path = constant_speed_reparam(path)
     geom = segment_geometry(path)
     require_clean_angles(geom)
@@ -139,11 +138,9 @@ def compare_recovery(path: PiecewiseLinearPath,
     beta = np.diff(path.points, axis=0) / np.diff(t)[:, None]
     m = len(geom.lengths)
     depths = [check_count("n", n, 1) for n in depth_list]
-    # level k does not depend on the signing depth, bit for bit
-    sig = path_signature(path, max(depths, default=0) + 1)
     rows = []
-    for n in depths:
-        slopes = invert_signature(_prefix(sig, n + 1)).slopes
+    for n, res in zip(depths, _invert_depths(path, [n + 1 for n in depths])):
+        slopes = res.slopes
         for i in range(1, m + 1):
             p = probe_slot(t[i - 1], t[i], n)
             measured = float(np.linalg.norm(slopes[p - 1] - beta[i - 1]))

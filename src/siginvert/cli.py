@@ -25,13 +25,8 @@ from .errors import (
     InputFormatError,
     NormTooSmall,
 )
-from .insertion import _outcomes, invert_signature
-from .signature import (
-    PiecewiseLinearPath,
-    _segment_lengths,
-    batch_signature,
-    path_signature,
-)
+from .insertion import _invert_depths, _outcomes, _start_point
+from .signature import PiecewiseLinearPath, _segment_lengths, batch_signature
 from .tensor_algebra import get_allocation_cap, set_allocation_cap
 
 EXIT_OK = 0
@@ -46,25 +41,37 @@ RESAMPLE_POINTS = 200
 
 
 def resample_arclength(points: np.ndarray, count: int) -> np.ndarray:
-    """Resample a polyline at ``count`` points equally spaced in arc length."""
+    """Resample a polyline at ``count`` points equally spaced in arc length.
+    An arc length past float64 raises AssumptionViolation."""
     points = np.asarray(points, dtype=np.float64)
-    seg = _segment_lengths(np.diff(points, axis=0))
-    s = np.concatenate(([0.0], np.cumsum(seg)))
+    with np.errstate(over="ignore"):
+        s = np.concatenate(([0.0], np.cumsum(
+            _segment_lengths(np.diff(points, axis=0)))))
+    if s[-1] == np.inf:
+        raise AssumptionViolation("a path's arc length overflows float64")
     grid = np.linspace(0.0, s[-1], count)
     return np.column_stack(
         [np.interp(grid, s, points[:, j]) for j in range(points.shape[1])]
     )
 
 
-def roundtrip_errors(path: PiecewiseLinearPath, depth: int) -> tuple[float, float]:
-    """Sign, invert anchored at the path's start, arc-length resample both
-    curves and report (mean, max) pointwise distance."""
-    sig = path_signature(path, depth)
-    recon = invert_signature(sig, start=path.points[0])
+def _distances(path: PiecewiseLinearPath, recon) -> tuple[float, float]:
+    """(mean, max) pointwise distance between a path and its inversion
+    ``recon``, both curves resampled in arc length.  ``_segment_lengths``
+    gives the distances, and the mean is taken under the power of two of
+    the largest, so neither overflows; both scalings are exact."""
     a = resample_arclength(path.points, RESAMPLE_POINTS)
     b = resample_arclength(recon.path.points, RESAMPLE_POINTS)
-    dist = np.linalg.norm(a - b, axis=1)
-    return float(dist.mean()), float(dist.max())
+    dist = _segment_lengths(a - b)
+    _, exp = np.frexp(dist.max())
+    return float(np.ldexp(np.ldexp(dist, -exp).mean(), exp)), float(dist.max())
+
+
+def roundtrip_errors(path: PiecewiseLinearPath, depth: int) -> tuple[float, float]:
+    """``roundtrip``'s row at one depth: the (mean, max) distance between
+    the path and its inversion anchored at the path's start."""
+    [recon] = _invert_depths(path, [depth], path.points[0])
+    return _distances(path, recon)
 
 
 def random_benchmark_path(rng, dim: int, pieces: int = 10) -> PiecewiseLinearPath:
@@ -105,19 +112,11 @@ def cmd_sign(args) -> int:
 
 
 def _parse_start(raw: str | None, dim: int) -> np.ndarray:
-    if raw is None:
-        return np.zeros(dim)
     try:
-        vec = np.array([float(f) for f in raw.split(",")])
+        vec = None if raw is None else [float(f) for f in raw.split(",")]
     except ValueError as exc:
         raise InputFormatError(f"bad --start vector {raw!r}") from exc
-    if not np.all(np.isfinite(vec)):
-        raise InputFormatError(f"non-finite --start vector {raw!r}")
-    if vec.size != dim:
-        raise InputFormatError(
-            f"--start has {vec.size} components but the signatures have dim {dim}"
-        )
-    return vec
+    return _start_point(vec, dim)
 
 
 def cmd_invert(args) -> int:
@@ -154,8 +153,9 @@ def cmd_roundtrip(args) -> int:
     depths = _parse_depths(args.depths)
     paths = fileio.read_paths_csv(args.input)
     # every row is computed before the output opens, so a failure writes nothing
-    rows = [[pid, depth, *map(fileio.format_float, roundtrip_errors(path, depth))]
-            for pid, path in paths for depth in depths]
+    rows = [[pid, depth, *map(fileio.format_float, _distances(path, recon))]
+            for pid, path in paths for depth, recon
+            in zip(depths, _invert_depths(path, depths, path.points[0]))]
     with _output(args) as out:
         w = csv.writer(out, lineterminator="\n")
         w.writerow(["id", "depth", "mean_error", "max_error"])
@@ -168,8 +168,7 @@ def cmd_trend(args) -> int:
     if len(paths) != 1:
         raise InputFormatError("trend estimation expects a single path")
     pid, path = paths[0]
-    sig = path_signature(path, args.depth)
-    recon = invert_signature(sig, start=path.points[0])
+    [recon] = _invert_depths(path, [args.depth], path.points[0])
     with _output(args) as out:
         fileio.write_paths_csv(out, [(pid, recon.path)])
     return EXIT_OK

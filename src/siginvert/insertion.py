@@ -13,7 +13,8 @@ chunks: ``_adjoint_rows`` writes each record's window products into one
 buffer shared by the chunk and reads the rows of all its records off it,
 and the divisions, the integration and the float64 guard run over the
 whole chunk at once.  ``invert_signature`` is the batch of one record, so
-a record inverts to the same bits alone and in any batch.
+a record inverts to the same bits alone and in any batch, and
+``_invert_depths`` inverts one path at several depths in one batch.
 
 ``_adjoint_rows`` partitions the slots of a level into windows of at
 most k + 1 slots, k <= n the largest with d**k <= 16, laid end to end,
@@ -31,8 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NormTooSmall
-from .signature import _BATCH_SCRATCH, PiecewiseLinearPath
-from .tensor_algebra import TruncatedSignature
+from .signature import _BATCH_SCRATCH, PiecewiseLinearPath, path_signature
+from .tensor_algebra import TruncatedSignature, _prefix, check_count
 
 # Most entries in the indices of one window, whose product costs up to
 # this many times one slot's multiply-adds; 16 beat 8, 32 and 64 at
@@ -146,12 +147,9 @@ class InversionResult:
     slopes: np.ndarray       # (n, d) solved slopes y*_{p,n}
 
 
-def _start_point(sig: TruncatedSignature, start) -> np.ndarray:
-    """The start point of one inversion, the origin by default; ValueError
-    for a depth below 2 or a start that is not a finite point of R^d."""
-    n, d = sig.depth, sig.dim
-    if n < 2:
-        raise ValueError(f"inversion needs a signature of depth >= 2, got {n}")
+def _start_point(start, d: int) -> np.ndarray:
+    """The one check of a start point: the origin of R^d by default, else
+    ValueError for a start that is not a finite point of R^d."""
     start = np.zeros(d) if start is None else np.asarray(start, dtype=np.float64)
     if start.shape != (d,):
         raise ValueError(f"a start point of shape {start.shape} does not fit "
@@ -203,7 +201,10 @@ def _outcomes(sigs, starts=None) -> list:
     groups: dict = {}
     for i, (sig, start) in enumerate(zip(sigs, starts)):
         try:
-            start = _start_point(sig, start)
+            if sig.depth < 2:
+                raise ValueError("inversion needs a signature of depth >= 2, "
+                                 f"got {sig.depth}")
+            start = _start_point(start, sig.dim)
         except (TypeError, ValueError) as exc:
             found[i] = exc
         else:
@@ -251,3 +252,13 @@ def invert_signature(sig: TruncatedSignature, start=None) -> InversionResult:
     """Insertion inversion of one signature: ``batch_invert`` of the one
     record, whose rules and guard it shares."""
     return batch_invert([sig], [start])[0]
+
+
+def _invert_depths(path: PiecewiseLinearPath, depths, start=None) -> list:
+    """The InversionResult of ``path`` at each of ``depths``, in order, from
+    ``start``: a depth below 2 raises ValueError, else the path is signed
+    once at the deepest depth and the prefix views, the bits of signing to
+    each depth alone, are inverted in one ``batch_invert``."""
+    depths = [check_count("depth", n, 2) for n in depths]
+    sig = path_signature(path, max(depths, default=0))
+    return batch_invert([_prefix(sig, n) for n in depths], [start] * len(depths))

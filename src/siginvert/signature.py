@@ -9,8 +9,8 @@ segments, with each degree's scratch in one of two buffers by its parity,
 since degree m reads only degree m - 1.  The batch axis is the last axis of
 every level and scratch array, so each numpy call runs over a chunk's paths;
 ``path_signature`` is the batch of one path.  Each signature is a
-``TruncatedSignature`` over its own buffer: the chunk's table for a path
-signed alone, a copy of its path's column of the chunk's table otherwise.
+``TruncatedSignature`` over its path's column of the chunk's table: a view
+when the chunk holds one path, a copy otherwise.
 """
 
 from __future__ import annotations
@@ -22,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AssumptionViolation
-from .tensor_algebra import (TruncatedSignature, _size, _wrap, check_allocation,
-                             check_count, check_levels)
+from .tensor_algebra import (TruncatedSignature, _size, _wrap, check_count,
+                             check_levels)
 
 # Angles within this tolerance of 0 or pi fail require_clean_angles.
 ANGLE_TOL = 1e-9
@@ -239,17 +239,18 @@ def batch_signature(paths, depth: int) -> list[TruncatedSignature]:
     Paths with equal segment counts are signed together, one sweep of
     ``_horner_sweep`` per chunk whose Horner scratch stays under
     ``_BATCH_SCRATCH`` coefficients; a path whose count no other path
-    shares is signed alone.  A path signed alone keeps its table column, one
-    of a wider chunk gets a copy; each is checked before the next chunk.
+    shares is signed alone.  Each path gets its column of the chunk's table
+    as one contiguous buffer, a view in a chunk of one path and a copy in a
+    wider one, and is checked before the next chunk.
     Cost O(M d^depth (d/(d-1))^2) multiply-adds per path of M segments.
     Over R^1 a path's column is exp(x), x its endpoint displacement: level
     k is the running product of x/j, j = 1..k, the same in any batch and at
     any depth.  Level 1 equals the endpoint displacement.
 
     A level that overflows float64 raises AssumptionViolation for the first
-    such path in input order; a top level past the allocation cap, or a
-    level count past ``check_levels``, raises AllocationCapError.  Paths of
-    different dimensions raise ValueError.
+    such path in input order; a (d, depth) past the size rule
+    ``check_levels`` raises AllocationCapError.  Paths of different
+    dimensions raise ValueError.
     """
     depth = check_count("depth", depth)
     paths = list(paths)
@@ -258,7 +259,6 @@ def batch_signature(paths, depth: int) -> list[TruncatedSignature]:
     d = paths[0].dim
     if any(p.dim != d for p in paths):
         raise ValueError("the paths of one batch must share a dimension")
-    check_allocation(d, depth)
     check_levels(d, depth)
     counts = np.array([p.num_segments for p in paths])
     order = np.argsort(counts, kind="stable")
@@ -278,9 +278,8 @@ def batch_signature(paths, depth: int) -> list[TruncatedSignature]:
                 table = _horner_sweep(increments, depth)
         table.setflags(write=False)
         for j, i in enumerate(idx):
-            column = table.reshape(-1) if len(idx) == 1 else table[:, j].copy()
             try:
-                found[i] = _wrap(d, depth, column)
+                found[i] = _wrap(d, depth, np.ascontiguousarray(table[:, j]))
             except ValueError as exc:
                 failed[i] = str(exc)
     if failed:
@@ -295,9 +294,8 @@ def path_signature(path: PiecewiseLinearPath, depth: int) -> TruncatedSignature:
     path, one in-place Horner step per segment (see ``_horner_sweep``), or
     exp of its displacement over R^1.
 
-    A level that overflows float64 raises AssumptionViolation; a top level
-    past the allocation cap, or a level count past ``check_levels``, raises
-    AllocationCapError.
+    A level that overflows float64 raises AssumptionViolation; a (d, depth)
+    past the size rule ``check_levels`` raises AllocationCapError.
     """
     return batch_signature([path], depth)[0]
 

@@ -43,9 +43,12 @@ def check_allocation(dim: int, degree: int) -> None:
 
 
 def check_levels(dim: int, depth: int) -> None:
-    """Refuse levels 0..depth past 4 times the cap, at 17 coefficients a
-    level: a level's numpy view takes about 128 bytes, most of what a
-    signature over R^1 holds.  At dim >= 2 only a cap below 22 reaches it."""
+    """The size rule of levels 0..depth over R^dim: the top level against
+    the cap (level 1 at depth 0, so no signature claims any dim), then the
+    levels against 4 times the cap, at 17 coefficients a level: a level's
+    numpy view takes about 128 bytes, most of what a signature over R^1
+    holds.  At dim >= 2 only a cap below 22 reaches the level count."""
+    check_allocation(dim, max(depth, 1))
     if 17 * (depth + 1) > 4 * _max_coeffs:
         raise AllocationCapError(
             f"a depth-{depth} signature over R^{dim} has {depth + 1} levels, "
@@ -76,9 +79,8 @@ class TruncatedSignature:
     input from outside the library: dim is a count >= 1 (the cap is its
     ceiling), kept as an int; each level is converted to float64 and checked
     against the allocation cap, its shape and finiteness, in level order;
-    last, dim itself against the cap, so a depth-0 signature cannot claim
-    any dim, and the level count (``check_levels``), as signing checks it.
-    The buffer is a copy of the levels.  Equality is identity."""
+    last, the size rule ``check_levels`` that signing applies too.  The
+    buffer is a copy of the levels.  Equality is identity."""
 
     dim: int
     levels: tuple[np.ndarray, ...] = field(repr=False)
@@ -98,7 +100,6 @@ class TruncatedSignature:
             if not np.isfinite(c).all():
                 raise ValueError(f"level {k} has a non-finite entry")
             levels.append(c)
-        check_allocation(dim, 1)
         check_levels(dim, k)
         vars(self).update(vars(_wrap(dim, k, np.concatenate(levels), check=False)))
 

@@ -1,12 +1,22 @@
 import numpy as np
 import pytest
 
-from siginvert import PiecewiseLinearPath
+from siginvert import PiecewiseLinearPath, insertion, path_signature
 
 
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture
+def signed_depths(monkeypatch):
+    """The depth of each signing on the route from a path to its
+    inversions, in call order."""
+    signed = []
+    monkeypatch.setattr(insertion, "path_signature", lambda path, depth: (
+        signed.append(depth) or path_signature(path, depth)))
+    return signed
 
 
 def random_path(rng, segments, dim, scale=1.0):

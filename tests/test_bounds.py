@@ -8,16 +8,16 @@ from hypothesis import strategies as st
 
 from siginvert import (
     PiecewiseLinearPath,
+    batch_invert,
     compare_recovery,
     depth_floor,
-    invert_signature,
     k_of_omega,
     path_signature,
     probe_slot,
     residual_envelope_bound,
     recovery_error_bound,
 )
-from siginvert import bounds
+from siginvert import insertion
 from siginvert.signature import constant_speed_reparam, segment_geometry
 
 from conftest import unit_speed_two_segment
@@ -263,7 +263,7 @@ class TestCompareRecovery:
         # one signature to depth max(n) + 1; its levels n and n + 1 give
         # every field of the rows that signing to depth n + 1 alone gives
         signed = []
-        monkeypatch.setattr(bounds, "path_signature", lambda path, depth: (
+        monkeypatch.setattr(insertion, "path_signature", lambda path, depth: (
             signed.append(depth) or path_signature(path, depth)))
         depths = [6, 8, 10, 12, 14]
         for seed in range(1, 21):
@@ -281,10 +281,10 @@ class TestCompareRecovery:
         # every segment's slope at depth n is read off one inversion of the
         # levels up to n + 1, which are views of the one signature signed
         signed, inverted = [], []
-        monkeypatch.setattr(bounds, "path_signature", lambda path, depth: (
+        monkeypatch.setattr(insertion, "path_signature", lambda path, depth: (
             signed.append(path_signature(path, depth)) or signed[-1]))
-        monkeypatch.setattr(bounds, "invert_signature", lambda sig: (
-            inverted.append(sig) or invert_signature(sig)))
+        monkeypatch.setattr(insertion, "batch_invert", lambda sigs, starts: (
+            inverted.extend(sigs) or batch_invert(sigs, starts)))
         p = constant_speed_reparam(unit_zigzag(12))
         rows = compare_recovery(p, [6, 9, 4])
         assert [sig.depth - 1 for sig in inverted] == [6, 9, 4]

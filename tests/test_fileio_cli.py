@@ -23,6 +23,7 @@ from siginvert import (
 )
 from siginvert import fileio
 from siginvert.cli import (
+    RESAMPLE_POINTS,
     main,
     resample_arclength,
     roundtrip_errors,
@@ -510,6 +511,40 @@ class TestRoundtripAndTrend:
         means = [float(r["mean_error"]) for r in rows]
         assert means[0] > means[1] > means[2]
 
+    def test_roundtrip_signs_each_path_once(self, tmp_path, capsys,
+                                            signed_depths):
+        f = write_paths_file(tmp_path, "two.csv", {
+            "a": [(0.0, 0.0), (1.0, 0.5), (0.25, 1.5)],
+            "b": [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (2.0, 1.5)]})
+        assert main(["roundtrip", f, "--depths", "4,8,12"]) == 0
+        assert signed_depths == [12, 12]
+        assert len(capsys.readouterr().out.splitlines()) == 1 + 2 * 3
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_roundtrip_rows_equal_signing_each_depth_alone(self, tmp_path,
+                                                           capsys, rng, dim):
+        # the rows of one signature per path are the bytes of signing,
+        # inverting and measuring each depth on its own
+        f = tmp_path / "mixed.csv"
+        with f.open("w", newline="") as fh:
+            write_paths_csv(fh, [(f"p{m}", random_path(rng, m, dim))
+                                 for m in (1, 3, 7, 20)])
+        depths = [9, 2, 5]
+        assert main(["roundtrip", str(f), "--depths",
+                     ",".join(map(str, depths))]) == 0
+        expected = ["id,depth,mean_error,max_error"]
+        for pid, path in read_paths_csv(str(f)):
+            for n in depths:
+                recon = invert_signature(path_signature(path, n),
+                                         start=path.points[0])
+                dist = np.linalg.norm(
+                    resample_arclength(path.points, RESAMPLE_POINTS)
+                    - resample_arclength(recon.path.points, RESAMPLE_POINTS),
+                    axis=1)
+                expected.append(f"{pid},{n},{format_float(dist.mean())},"
+                                f"{format_float(dist.max())}")
+        assert capsys.readouterr().out.splitlines() == expected
+
     def test_trend_noiseless_line(self, tmp_path, capsys):
         t = np.linspace(0.0, 1.0, 21)
         pts = np.column_stack([t, 2.0 * t])
@@ -661,6 +696,19 @@ class TestExitCodes:
         f = tmp_path / "sig.json"
         f.write_text(dumps_signatures([("0", sig)]))
         assert main(["invert", str(f), "--start", "nan,0.0"]) == 2
+
+    @pytest.mark.parametrize("raw, start", [
+        ("nan,0.0", [math.nan, 0.0]), ("1.0", [1.0]), ("1,2,inf", [1, 2, 3]),
+    ], ids=["non-finite", "short", "long"])
+    def test_start_is_refused_as_the_library_refuses_it(self, tmp_path,
+                                                         capsys, raw, start):
+        sig = path_signature(PiecewiseLinearPath([[0.0, 0.0], [1.0, 1.0]]), 3)
+        f = tmp_path / "sig.json"
+        f.write_text(dumps_signatures([("0", sig)]))
+        with pytest.raises(ValueError) as refused:
+            invert_signature(sig, start=start)
+        assert main(["invert", str(f), "--start", raw]) == 2
+        assert capsys.readouterr().err == f"error: {refused.value}\n"
 
     def test_mistyped_signature_record_is_input_error(self, tmp_path):
         f = tmp_path / "typed.json"
@@ -882,6 +930,59 @@ class TestBadArguments:
         f.write_text("0,0\n1e300,1\n")
         assert main([a.format(f=f) for a in argv]) == 4
         assert_one_error_line(capsys)
+
+    @pytest.mark.parametrize("column", [[0.0, 0.0, 1e300, 1.0],
+                                        [0.0, 8e307, 1.0]],
+                             ids=["squares-overflow", "sum-overflows"])
+    def test_roundtrip_of_a_huge_excursion_is_finite(self, tmp_path, capsys,
+                                                     column):
+        # over R^1 signing reads only the endpoints, so these paths sign
+        # and invert; their distances once overflowed to inf
+        f = write_path_csv_file(tmp_path, "x.csv", np.array(column)[:, None])
+        assert main(["roundtrip", f, "--depths", "2"]) == 0
+        [row] = csv.DictReader(io.StringIO(capsys.readouterr().out))
+        mean, top = float(row["mean_error"]), float(row["max_error"])
+        [(_, path)] = read_paths_csv(f)
+        recon = invert_signature(path_signature(path, 2), start=path.points[0])
+        dist = np.abs(resample_arclength(path.points, RESAMPLE_POINTS)
+                      - resample_arclength(recon.path.points, RESAMPLE_POINTS))
+        assert top == dist.max() < math.inf
+        assert math.isclose(mean, math.fsum(dist[:, 0] / dist.size),
+                            rel_tol=1e-12)
+
+    def test_roundtrip_of_an_arc_length_past_float64(self, tmp_path, capsys):
+        f = write_path_csv_file(tmp_path, "x.csv",
+                                [[0.0], [1.5e308], [-1.5e308], [1.0]])
+        assert main(["roundtrip", f, "--depths", "2"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: a path's arc length overflows float64\n"
+
+    def test_depth_below_2_is_refused_before_signing(self, square, capsys,
+                                                     signed_depths):
+        assert main(["roundtrip", square, "--depths", "40,1"]) == 2
+        assert signed_depths == []
+        assert capsys.readouterr().err == (
+            "error: depth must be an integer in [2, 2**53], got 1\n")
+
+    @pytest.mark.parametrize("depths", ["2,6", "6,2"])
+    def test_roundtrip_refusal_does_not_depend_on_the_depth_order(
+            self, tmp_path, capsys, depths):
+        # a closed loop: depth 2 alone is refused by the guard (exit 3), but
+        # the path is signed once at depth 6 first, which overflows
+        f = write_path_csv_file(tmp_path, "loop.csv", [
+            [0.0, 0.0], [1e60, 0.0], [1e60, 1e60], [0.0, 0.0]])
+        assert main(["roundtrip", f, "--depths", depths]) == 4
+        assert capsys.readouterr().err == ("error: the depth-6 signature "
+                                           "overflows float64: level 6 has a "
+                                           "non-finite entry\n")
+
+    def test_depth_0_signature_of_a_dim_past_the_cap(self, tmp_path, capsys):
+        f = write_path_csv_file(tmp_path, "six.csv",
+                                [np.zeros(6), np.arange(1.0, 7.0)])
+        assert main(["sign", f, "--depth", "0", "--max-coeffs", "5"]) == 3
+        assert_one_error_line(capsys)
+        assert main(["sign", f, "--depth", "0", "--max-coeffs", "6"]) == 0
 
     def test_failed_roundtrip_writes_nothing(self, tmp_path, capsys):
         f = tmp_path / "big.csv"

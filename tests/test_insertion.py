@@ -18,7 +18,7 @@ from siginvert import (
     path_signature,
 )
 from siginvert.insertion import (_BATCH_SCRATCH, _adjoint_rows, _block_entries,
-                                  _window_table)
+                                  _invert_depths, _window_table)
 
 from conftest import random_path
 from oracles import (
@@ -462,6 +462,28 @@ class TestBatchInvert:
                 batch_invert(sigs, starts)
             assert type(batch.value) is type(alone.value)
             assert str(batch.value) == str(alone.value)
+
+
+class TestInvertDepths:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_each_depth_is_the_bits_of_signing_to_it_alone(self, rng, d):
+        path = random_path(rng, 5, d)
+        start = rng.standard_normal(d)
+        depths = [7, 2, 4, 7]
+        found = _invert_depths(path, depths, start)
+        assert [res.path.num_segments for res in found] == depths
+        for n, res in zip(depths, found):
+            alone = invert_signature(path_signature(path, n), start)
+            np.testing.assert_array_equal(res.path.points, alone.path.points)
+            np.testing.assert_array_equal(res.slopes, alone.slopes)
+
+    @pytest.mark.parametrize("depths", [[40, 1], [1], [4, -1], [3, 2.0]])
+    def test_a_depth_below_2_is_refused_before_signing(self, rng, signed_depths,
+                                                       depths):
+        with pytest.raises(ValueError,
+                           match=r"^depth must be an integer in \[2, "):
+            _invert_depths(random_path(rng, 3, 2), depths)
+        assert signed_depths == []
 
 
 # the 98 signature shapes (d, n) with d**(n + 1) <= 2**16 (d = 1..16,

@@ -215,6 +215,24 @@ class TestAllocationCap:
         finally:
             set_allocation_cap(previous)
 
+    def test_depth_0_signature_claims_no_dim_past_the_cap(self):
+        # signing and the constructor apply one size rule, which checks
+        # level 1 at depth 0
+        path = PiecewiseLinearPath([np.zeros(6), np.arange(1.0, 7.0)])
+        previous = get_allocation_cap()
+        try:
+            set_allocation_cap(5)
+            with pytest.raises(AllocationCapError, match=r"R\^6") as signed:
+                path_signature(path, 0)
+            with pytest.raises(AllocationCapError) as built:
+                TruncatedSignature(6, [[1.0]])
+            assert str(signed.value) == str(built.value)
+            set_allocation_cap(6)
+            assert path_signature(path, 0).dim == 6
+            assert TruncatedSignature(6, [[1.0]]).dim == 6
+        finally:
+            set_allocation_cap(previous)
+
     def test_signature_validates_levels(self):
         for dim, levels in [(2, [[1.0], [1.0, 2.0, 3.0]]), (0, [[1.0]]),
                             (-2, [[1.0]]), (2, [])]:
