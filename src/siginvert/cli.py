@@ -55,12 +55,12 @@ def resample_arclength(points: np.ndarray, count: int) -> np.ndarray:
     )
 
 
-def _distances(path: PiecewiseLinearPath, recon) -> tuple[float, float]:
-    """(mean, max) pointwise distance between a path and its inversion
-    ``recon``, both curves resampled in arc length.  ``_segment_lengths``
-    gives the distances, and the mean is taken under the power of two of
-    the largest, so neither overflows; both scalings are exact."""
-    a = resample_arclength(path.points, RESAMPLE_POINTS)
+def _distances(a: np.ndarray, recon) -> tuple[float, float]:
+    """(mean, max) pointwise distance between a path, given as its points
+    ``a`` resampled in arc length, and its inversion ``recon``, resampled
+    so too.  ``_segment_lengths`` gives the distances, and the mean is
+    taken under the power of two of the largest, so neither overflows; both
+    scalings are exact."""
     b = resample_arclength(recon.path.points, RESAMPLE_POINTS)
     dist = _segment_lengths(a - b)
     _, exp = np.frexp(dist.max())
@@ -71,7 +71,7 @@ def roundtrip_errors(path: PiecewiseLinearPath, depth: int) -> tuple[float, floa
     """``roundtrip``'s row at one depth: the (mean, max) distance between
     the path and its inversion anchored at the path's start."""
     [recon] = _invert_depths(path, [depth], path.points[0])
-    return _distances(path, recon)
+    return _distances(resample_arclength(path.points, RESAMPLE_POINTS), recon)
 
 
 def random_benchmark_path(rng, dim: int, pieces: int = 10) -> PiecewiseLinearPath:
@@ -152,10 +152,14 @@ def _parse_depths(raw: str) -> list[int]:
 def cmd_roundtrip(args) -> int:
     depths = _parse_depths(args.depths)
     paths = fileio.read_paths_csv(args.input)
-    # every row is computed before the output opens, so a failure writes nothing
-    rows = [[pid, depth, *map(fileio.format_float, _distances(path, recon))]
-            for pid, path in paths for depth, recon
-            in zip(depths, _invert_depths(path, depths, path.points[0]))]
+    # every row is computed before the output opens, so a failure writes
+    # nothing; each path is resampled once, after its inversions
+    rows = []
+    for pid, path in paths:
+        recons = _invert_depths(path, depths, path.points[0])
+        a = resample_arclength(path.points, RESAMPLE_POINTS)
+        rows += [[pid, depth, *map(fileio.format_float, _distances(a, recon))]
+                 for depth, recon in zip(depths, recons)]
     with _output(args) as out:
         w = csv.writer(out, lineterminator="\n")
         w.writerow(["id", "depth", "mean_error", "max_error"])

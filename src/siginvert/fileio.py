@@ -13,6 +13,9 @@ Level entries must be JSON numbers.  The writer's bytes are those of
 ``json.dump(..., indent=2)``.  Reader and writer rely on
 ``TruncatedSignature``, which checks the cap (dim included), the size and
 finiteness of every level, so a non-finite level is never read or written.
+The reader converts each record while it parses and drops its level lists,
+so at most two records' Python numbers are alive at once; refusals are
+raised after parsing, in the order a whole-file read would raise them.
 
 Decimal text is used throughout: CSV floats carry 17 significant digits,
 JSON floats the shortest repr that round-trips, as ``json`` writes them.
@@ -27,10 +30,11 @@ import json
 import math
 import numbers
 import sys
+import traceback
 
 import numpy as np
 
-from .errors import InputFormatError
+from .errors import AllocationCapError, InputFormatError
 from .signature import PiecewiseLinearPath
 from .tensor_algebra import TruncatedSignature
 
@@ -251,17 +255,52 @@ def read_signatures_json(stream) -> list[tuple[str, TruncatedSignature]]:
     string or integer, or two records with the same id, raise
     InputFormatError, since outputs are keyed by id; so does an id with a
     lone surrogate, which no UTF-8 output could encode.
+
+    Every JSON object goes through ``record_to_signature`` when the parser
+    closes the next one, the last after ``json.load`` has freed the text,
+    and then loses its level lists: a batch holds at most two records'
+    Python numbers beside the text and the finished buffers.  A refusal
+    is kept and raised after parsing, in file order after the id checks,
+    so a JSON syntax error wins over any record's.  A nested object is
+    converted too, and its outcome ignored.
     """
     if isinstance(stream, str):
         # utf-8-sig drops a byte-order mark, which json.load refuses
         with open(stream, encoding="utf-8-sig") as fh:
             return read_signatures_json(fh)
+    # id(object) -> (the object, held so that no other takes its id, and
+    # its signature or refusal)
+    converted = {}
+    pending = None  # the object the parser closed last, not yet converted
+
+    def convert(rec: dict) -> None:
+        try:
+            converted[id(rec)] = rec, record_to_signature(rec)
+        except (InputFormatError, AllocationCapError) as exc:
+            converted[id(rec)] = rec, exc
+            # the frames of a kept refusal would keep the record's numbers
+            for e in (exc, exc.__cause__):
+                if e is not None:
+                    traceback.clear_frames(e.__traceback__)
+        except RecursionError:
+            return  # deep in the parser's stack: converted at its turn below
+        rec.pop("levels", None)
+
+    def hook(obj: dict) -> dict:
+        nonlocal pending
+        if pending is not None:
+            convert(pending)
+        pending = obj
+        return obj
+
     try:
-        payload = json.load(stream, parse_int=_parse_int)
+        payload = json.load(stream, parse_int=_parse_int, object_hook=hook)
     except (ValueError, RecursionError) as exc:
         # ValueError covers JSONDecodeError and UnicodeDecodeError;
         # RecursionError, nesting past the parser's limit
         raise InputFormatError(f"invalid JSON: {exc}") from exc
+    if pending is not None:
+        convert(pending)
     if isinstance(payload, dict):
         payload = [payload]
     if not isinstance(payload, list):
@@ -284,9 +323,13 @@ def read_signatures_json(stream) -> list[tuple[str, TruncatedSignature]]:
                 "without an id takes its index as id"
             )
         seen.add(pid)
+        sig = converted.get(id(rec), (rec, None))[1]
         try:
-            out.append((pid, record_to_signature(rec)))
+            if sig is None:  # not an object, or left at the recursion limit
+                sig = record_to_signature(rec)
+            elif isinstance(sig, Exception):
+                raise sig
         except InputFormatError as exc:
             raise InputFormatError(f"record {pid!r}: {exc}") from exc
+        out.append((pid, sig))
     return out
-

@@ -21,7 +21,7 @@ from siginvert import (
     path_signature,
     segment_geometry,
 )
-from siginvert import fileio
+from siginvert import cli, fileio
 from siginvert.cli import (
     RESAMPLE_POINTS,
     main,
@@ -195,6 +195,155 @@ class TestSignatureJson:
         sig = path_signature(random_path(rng, 2, 3), 3)
         rec = signature_to_record(sig)
         assert [len(lv) for lv in rec["levels"]] == [1, 3, 9, 27]
+
+
+def whole_file_read(payload):
+    """The reader's oracle: each record of the whole file's ``json.load``
+    through ``record_to_signature``."""
+    records = [payload] if isinstance(payload, dict) else payload
+    return [(str(rec.get("id", i)), record_to_signature(rec))
+            for i, rec in enumerate(records)]
+
+
+def traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def read_whole_file(path):
+    with open(path, encoding="utf-8-sig") as fh:
+        return whole_file_read(json.load(fh))
+
+
+class TestSignatureJsonReader:
+    """The reader converts each record while json.load parses: the same
+    signatures and refusals as reading the whole file first, with fewer
+    Python numbers alive."""
+
+    GOOD = '{"dim": 1, "depth": 2, "levels": [[1.0], [0.5], [0.125]]'
+
+    @pytest.mark.parametrize("refused", [False, True],
+                             ids=["read", "every-record-refused"])
+    def test_batch_peak_below_two_and_a_half_file_sizes(self, tmp_path, rng,
+                                                        refused):
+        # entries of 0.0 and 1.0 cost 32 bytes each as Python floats in
+        # lists, about 3 times their text: a whole-file read peaks at 3.5
+        # file sizes, converting each record as it closes at 2.  A kept
+        # refusal must not keep its record's numbers either.
+        sizes = [2**k for k in range(11)]
+        levels = [[rng.integers(0, 2, n).astype(np.float64) for n in sizes]
+                  for _ in range(100)]
+        for lv in levels if refused else ():
+            lv[10][0] = 2.0
+        text = dumps_signatures([(str(i), TruncatedSignature(2, lv))
+                                 for i, lv in enumerate(levels)])
+        f = tmp_path / "batch.json"
+        f.write_text(text.replace("2.0", "1e400"))  # json.load reads inf
+
+        def read():
+            try:
+                read_signatures_json(str(f))
+            except InputFormatError as exc:
+                assert refused and str(exc).startswith("record '0': level 10")
+            else:
+                assert not refused
+
+        assert traced_peak(read) < 2.5 * f.stat().st_size
+
+    def test_one_record_peak_not_above_whole_file_read(self, tmp_path, rng):
+        # the last record is converted after json.load frees the text, so
+        # its buffers and the text are never alive together
+        sig = path_signature(random_path(rng, 10, 2), 14)
+        f = tmp_path / "deep.json"
+        f.write_text(dumps_signatures([("x", sig)]))
+        oracle = traced_peak(read_whole_file, str(f))
+        peak = traced_peak(read_signatures_json, str(f))
+        assert peak <= oracle + f.stat().st_size // 16
+
+    @pytest.mark.parametrize("text", [
+        dumps_signatures([("a", linear_signature([1.0, -0.5], 0.75, 4))]),
+        dumps_signatures([(pid, edge_signature(np.random.default_rng(5), 2, 5))
+                          for pid in ("x", None, "z")]),
+        '[{"dim": 2, "depth": 2, "levels": [[1], [0, -2], [3, 0.5, 10, '
+        '100000000000000000000]], "id": 7}, {"dim": 1, "depth": 1, '
+        '"levels": [[1], [-0.0]], "id": "b"}, {"dim": 1, "depth": 0, '
+        '"levels": [[2]]}]',
+    ], ids=["bare-object", "batch", "integers-and-ids"])
+    def test_signatures_equal_whole_file_read(self, text):
+        got = read_signatures_json(io.StringIO(text))
+        expected = whole_file_read(json.loads(text))
+        assert [pid for pid, _ in got] == [pid for pid, _ in expected]
+        for (_, a), (_, b) in zip(got, expected):
+            assert (a.dim, a.depth) == (b.dim, b.depth)
+            assert np.concatenate(a.levels).view(np.uint64).tolist() == \
+                np.concatenate(b.levels).view(np.uint64).tolist()
+
+    def test_syntax_error_wins_over_a_record_past_the_cap(self, tmp_path,
+                                                          capsys):
+        # the first record's refusal is kept until json.load has parsed the
+        # whole text, which is cut off inside the second record
+        sig = linear_signature([1.0, 0.5], 1.0, 3)
+        text = json.dumps([signature_to_record(sig, "a"),
+                           signature_to_record(sig, "b")], indent=2)
+        f = tmp_path / "cut.json"
+        f.write_text(text)
+        assert main(["invert", str(f), "--max-coeffs", "5"]) == 3
+        capsys.readouterr()
+        cut = text.index('"levels": [', text.index('"id": "a"')) + 11
+        f.write_text(text[:cut])
+        assert main(["invert", str(f), "--max-coeffs", "5"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: invalid JSON: ") and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("ids, message", [
+        (['"a"', '"b"', '"a"'], "record 'b': level 2 holds a string, "
+                                "not only numbers"),
+        (['"a"', '"a"', '"b"'], "duplicate record id 'a' (record 1); a record "
+                                "without an id takes its index as id"),
+    ], ids=["bad-record-first", "duplicate-first"])
+    def test_refusals_keep_file_order(self, tmp_path, capsys, ids, message):
+        bad = '{"dim": 1, "depth": 2, "levels": [[1.0], [0.5], ["x"]]'
+        recs = [self.GOOD, bad, self.GOOD] if ids[2] == '"a"' else \
+            [self.GOOD, self.GOOD, bad]
+        f = tmp_path / "order.json"
+        f.write_text("[" + ", ".join(f'{rec}, "id": {pid}}}'
+                                     for rec, pid in zip(recs, ids)) + "]")
+        assert main(["invert", str(f)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_object_inside_a_level(self, tmp_path, capsys):
+        # the inner object is a valid record and converts, but only its
+        # parent's refusal is reported
+        f = tmp_path / "nested.json"
+        f.write_text('[{"dim": 1, "depth": 1, "levels": [[1.0], '
+                     f'[{self.GOOD}}}]]}}]')
+        assert main(["invert", str(f)]) == 2
+        assert capsys.readouterr().err == (
+            "error: record '0': level 1 holds an object, not only numbers\n")
+
+    def test_record_converted_too_deep_is_converted_after_parsing(
+            self, monkeypatch):
+        # a conversion that meets the recursion limit inside the parser's
+        # stack is left for the loop after parsing
+        calls = []
+
+        def first_call_too_deep(rec):
+            calls.append(rec)
+            if len(calls) == 1:
+                raise RecursionError
+            return record_to_signature(rec)
+
+        monkeypatch.setattr(fileio, "record_to_signature", first_call_too_deep)
+        text = f"[{self.GOOD}}}, {self.GOOD}}}]"
+        got = read_signatures_json(io.StringIO(text))
+        assert len(calls) == 3
+        assert [pid for pid, _ in got] == ["0", "1"]
+        assert [sig.level(2).tolist() for _, sig in got] == [[0.125]] * 2
 
 
 class TestPathCsv:
@@ -518,6 +667,19 @@ class TestRoundtripAndTrend:
             "b": [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (2.0, 1.5)]})
         assert main(["roundtrip", f, "--depths", "4,8,12"]) == 0
         assert signed_depths == [12, 12]
+        assert len(capsys.readouterr().out.splitlines()) == 1 + 2 * 3
+
+    def test_roundtrip_resamples_each_path_once(self, tmp_path, capsys,
+                                                monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "resample_arclength", lambda points, count: (
+            calls.append(len(points)) or resample_arclength(points, count)))
+        f = write_paths_file(tmp_path, "two.csv", {
+            "a": [(0.0, 0.0), (1.0, 0.5), (0.25, 1.5)],
+            "b": [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (2.0, 1.5)]})
+        assert main(["roundtrip", f, "--depths", "4,8,12"]) == 0
+        # each input path once, then its inversion at each of 3 depths
+        assert calls == [3, 5, 9, 13, 4, 5, 9, 13]
         assert len(capsys.readouterr().out.splitlines()) == 1 + 2 * 3
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
