@@ -148,6 +148,11 @@ def record_to_signature(rec: dict) -> TruncatedSignature:
         dim, depth, levels = rec["dim"], rec["depth"], rec["levels"]
     except (KeyError, TypeError) as exc:
         raise InputFormatError("signature record needs dim/depth/levels") from exc
+    # named, not printed: the reader has dropped the levels of any object
+    # inside it
+    if type(dim) in _JSON_NAMES:
+        raise InputFormatError("signature record dim must be an integer, "
+                               f"not {_JSON_NAMES[type(dim)]}")
     if not isinstance(depth, int) or isinstance(depth, bool):
         raise InputFormatError("signature record depth must be an integer")
     if not isinstance(levels, list):

@@ -11,6 +11,14 @@ every level and scratch array, so each numpy call runs over a chunk's paths;
 ``path_signature`` is the batch of one path.  Each signature is a
 ``TruncatedSignature`` over its path's column of the chunk's table: a view
 when the chunk holds one path, a copy otherwise.
+
+The sweep runs with numpy's ufunc buffer at ``_SWEEP_BUFSIZE`` elements,
+set for the sweep alone and restored after it.  numpy's buffered iterator
+copies broadcast operands into its buffer when a loop's inner axis is
+shorter than about half of it; at the default size that is every product
+and sum of the sweep's middle degrees, and the copies cost more than the
+arithmetic.  Every product and sum is the same IEEE operation at any
+buffer size, so a signature's bits do not depend on it.
 """
 
 from __future__ import annotations
@@ -180,6 +188,13 @@ def _scratch_size(d: int, depth: int) -> int:
 # depth + 1 coefficients a path, is smaller than its signatures' level views.
 _BATCH_SCRATCH = 2**18
 
+# numpy's ufunc buffer, in elements, while the sweep runs (see the module
+# docstring).  At 1024 more of the sweep's loops run in place, and the rest
+# copy through a buffer that stays in cache: of the sizes 16 to 8192 it was
+# the fastest measured, for one path and for chunks of 72 and 128 paths.
+# numpy takes multiples of 16.
+_SWEEP_BUFSIZE = 1024
+
 
 def _horner_sweep(increments: np.ndarray, depth: int) -> np.ndarray:
     """Levels 0..depth of the N paths with segment displacements ``increments``
@@ -223,12 +238,16 @@ def _horner_sweep(increments: np.ndarray, depth: int) -> np.ndarray:
               scratch[m][1:], scratch[m][0], levels[m])
              for m in range(1, depth + 1)]
     # a zero segment (a repeated point) adds zeros: exp(0) is the identity
-    for v in increments[::-1]:
-        np.multiply(inv, v[:, None, :], out=vs)
-        for left, right, product, gaining, complete, level in steps:
-            np.multiply(left, right, out=product)
-            gaining += level
-            level += complete
+    old = np.setbufsize(_SWEEP_BUFSIZE)
+    try:
+        for v in increments[::-1]:
+            np.multiply(inv, v[:, None, :], out=vs)
+            for left, right, product, gaining, complete, level in steps:
+                np.multiply(left, right, out=product)
+                gaining += level
+                level += complete
+    finally:
+        np.setbufsize(old)
     return table
 
 

@@ -326,6 +326,25 @@ class TestSignatureJsonReader:
         assert capsys.readouterr().err == (
             "error: record '0': level 1 holds an object, not only numbers\n")
 
+    @pytest.mark.parametrize("dim", [
+        '{"dim": 1, "depth": 0, "levels": [[1.0]]}', "[1]", '"2"', "true", "2.0",
+    ], ids=["object", "list", "string", "boolean", "float"])
+    def test_dim_not_an_integer_is_named(self, tmp_path, capsys, dim):
+        # the reader drops the levels of an object inside dim, so the
+        # refusal names dim's JSON type and prints none of it
+        text = f'{{"dim": {dim}, "depth": 0, "levels": [[1.0]]}}'
+        with pytest.raises(InputFormatError) as oracle:
+            whole_file_read(json.loads(text))
+        assert str(oracle.value).startswith(
+            "signature record dim must be an integer, not ")
+        f = tmp_path / "dim.json"
+        f.write_text(text)
+        with pytest.raises(InputFormatError) as got:
+            read_signatures_json(str(f))
+        assert str(got.value) == f"record '0': {oracle.value}"
+        assert main(["invert", str(f)]) == 2
+        assert capsys.readouterr().err == f"error: record '0': {oracle.value}\n"
+
     def test_record_converted_too_deep_is_converted_after_parsing(
             self, monkeypatch):
         # a conversion that meets the recursion limit inside the parser's

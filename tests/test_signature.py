@@ -389,6 +389,74 @@ class TestBatchSignature:
             batch_signature([], -1)
 
 
+def buffer_batches(rng):
+    """(paths, depth) batches at the signing shapes of these tests and of
+    the benchmark: the half-circle, single 10-segment paths, the 3-d spiral
+    and chunks of 128 and 72 planar paths."""
+    batches = []
+    for dim, depth in itertools.product([1, 2, 3, 5], [0, 1, 2, 6, 9]):
+        counts = [1, 3, 2, 3] if dim**depth > 10**5 else [1, 3, 3, 7, 7]
+        batches.append(([irregular_path(rng, m, dim, 1.0) for m in counts], depth))
+    theta = np.linspace(0.0, math.pi, 101)
+    circle = PiecewiseLinearPath(np.column_stack([np.cos(theta), np.sin(theta)]))
+    batches += [([circle], depth) for depth in (4, 8, 12, 16, 17)]
+    batches += [([random_path(rng, 10, 2)], 14), ([random_path(rng, 10, 3)], 9)]
+    theta = np.linspace(0.0, 3.0 * math.pi, 31)
+    batches.append(([PiecewiseLinearPath(np.column_stack(
+        [np.cos(theta), np.sin(theta), theta / (3.0 * math.pi)]))], 12))
+    planar = [random_path(rng, 10, 2) for _ in range(128)]
+    batches += [(planar, 10), (planar[:72], 10)]
+    return batches
+
+
+class TestUfuncBuffer:
+    """The sweep runs with its own ufunc buffer size: the bits do not depend
+    on it, and the caller's size is back when signing returns or raises."""
+
+    @pytest.mark.parametrize("size", [16, 8192, 2**16])
+    def test_bits_do_not_depend_on_the_buffer(self, rng, monkeypatch, size):
+        batches = buffer_batches(rng)
+        want = [batch_signature(paths, depth) for paths, depth in batches]
+        # the caller's size, and the sweep's own
+        monkeypatch.setattr(signature, "_SWEEP_BUFSIZE", size)
+        previous = np.setbufsize(size)
+        try:
+            got = [batch_signature(paths, depth) for paths, depth in batches]
+        finally:
+            np.setbufsize(previous)
+        for sigs, refs in zip(got, want):
+            for sig, ref in zip(sigs, refs):
+                assert_bitwise_equal(sig, ref)
+
+    @pytest.mark.parametrize("caller", [np.getbufsize(), 48])
+    def test_callers_size_is_restored(self, caller):
+        good = PiecewiseLinearPath([[0.0, 0.0], [1.0, 0.5], [0.2, 1.0]])
+        line = PiecewiseLinearPath([[0.0], [2.0]])
+        huge = PiecewiseLinearPath([[0.0, 0.0], [1e300, 1.0], [1e300, 2.0]])
+        previous = np.setbufsize(caller)
+        try:
+            batch_signature([good, good], 6)
+            assert np.getbufsize() == caller
+            batch_signature([line], 6)
+            assert np.getbufsize() == caller
+            with pytest.raises(AssumptionViolation):
+                batch_signature([good, huge], 3)
+            assert np.getbufsize() == caller
+            with pytest.raises(AllocationCapError):
+                batch_signature([good], 40)
+            assert np.getbufsize() == caller
+            # the sweep alone, outside the errstate block of batch_signature,
+            # whose exit restores the buffer too on numpy >= 2
+            signature._horner_sweep(np.ones((2, 2, 1)), 3)
+            assert np.getbufsize() == caller
+            with np.errstate(over="raise"):
+                with pytest.raises(FloatingPointError):
+                    signature._horner_sweep(np.full((2, 2, 1), 1e300), 3)
+                assert np.getbufsize() == caller
+        finally:
+            np.setbufsize(previous)
+
+
 def assert_levels_equal(low, high):
     """Levels 0..low.depth of ``low`` are bitwise those of ``high``."""
     for k in range(low.depth + 1):
