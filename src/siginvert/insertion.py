@@ -12,8 +12,9 @@ signature and integrates the slopes on the uniform grid p/n.
 chunks: ``_adjoint_rows`` writes each record's window products into one
 buffer shared by the chunk and reads the rows of all its records off it,
 and the divisions, the integration and the float64 guard run over the
-whole chunk at once.  ``invert_signature`` is the batch of one record, so
-a record inverts to the same bits alone and in any batch, and
+whole chunk at once; each result's slopes and path points are read-only
+rows of the chunk's arrays.  ``invert_signature`` is the batch of one
+record, so a record inverts to the same bits alone and in any batch, and
 ``_invert_depths`` inverts one path at several depths in one batch.
 
 ``_adjoint_rows`` partitions the slots of a level into windows of at
@@ -32,7 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NormTooSmall
-from .signature import _BATCH_SCRATCH, PiecewiseLinearPath, path_signature
+from .signature import (_BATCH_SCRATCH, PiecewiseLinearPath, _wrap_path,
+                        path_signature)
 from .tensor_algebra import TruncatedSignature, _prefix, check_count
 
 # Most entries in the indices of one window, whose product costs up to
@@ -141,7 +143,12 @@ def _adjoint_rows(belows, tops, d: int, n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class InversionResult:
-    """Reconstructed path on the uniform grid p/n plus the solved slopes."""
+    """Reconstructed path on the uniform grid p/n plus the solved slopes.
+
+    A result that the library builds holds its path's points and its
+    slopes as read-only row views of its chunk's two arrays, not copies,
+    so a kept result keeps both alive: N (2n + 1) d floats for a chunk of
+    N records over R^d."""
 
     path: PiecewiseLinearPath
     slopes: np.ndarray       # (n, d) solved slopes y*_{p,n}
@@ -161,21 +168,27 @@ def _start_point(start, d: int) -> np.ndarray:
 
 def _solve(sigs, starts, d: int, n: int) -> list:
     """Outcomes of one chunk of depth-n signatures over R^d, each started
-    at its point of ``starts``: an InversionResult or a NormTooSmall each;
-    the results' slopes are views of one array of the chunk."""
+    at its point of ``starts``: an InversionResult or a NormTooSmall each.
+    The chunk's slopes and points are two read-only arrays, and the points
+    are checked for finiteness as a whole, so each result takes row views
+    of both and a path built by ``_wrap_path``, with no copy and no check."""
     belows = [s.levels[n - 1] for s in sigs]
+    # the points outlive the call with its results: made before the
+    # kernel's scratch, they do not hold the heap above that scratch
+    points = np.empty((len(sigs), n + 1, d))
     with np.errstate(all="ignore"):
         nrm2 = [float(below @ below) for below in belows]
         slopes = _adjoint_rows(belows, [s.levels[n] for s in sigs], d, n - 1)
         slopes *= n
         slopes /= np.array(nrm2)[:, None, None]
-        points = np.empty((len(sigs), n + 1, d))
         points[:, 0] = starts
         np.cumsum(slopes / n, axis=1, out=points[:, 1:])
         points[:, 1:] += points[:, :1]
+    slopes.setflags(write=False)
+    points.setflags(write=False)
     # a non-finite slope makes every later point non-finite
     finite = np.isfinite(points).all(axis=(1, 2))
-    return [InversionResult(PiecewiseLinearPath(points[j]), slopes[j])
+    return [InversionResult(_wrap_path(points[j]), slopes[j])
             if sys.float_info.min <= norm2 < np.inf and finite[j]
             else NormTooSmall(
                 f"the degree-{n - 1} level has squared norm {norm2:.3g}, "
@@ -199,16 +212,27 @@ def _outcomes(sigs, starts=None) -> list:
         raise ValueError("need one start point per signature")
     found = [None] * len(sigs)
     groups: dict = {}
+    # each distinct start object is checked once per dimension; the list
+    # keeps every start alive, so no two share an id
+    checked: dict = {}
     for i, (sig, start) in enumerate(zip(sigs, starts)):
-        try:
-            if sig.depth < 2:
-                raise ValueError("inversion needs a signature of depth >= 2, "
-                                 f"got {sig.depth}")
-            start = _start_point(start, sig.dim)
-        except (TypeError, ValueError) as exc:
-            found[i] = exc
+        n = sig.depth
+        if n < 2:
+            found[i] = ValueError(
+                f"inversion needs a signature of depth >= 2, got {n}")
+            continue
+        d = sig.dim
+        key = id(start), d
+        if key not in checked:
+            try:
+                checked[key] = _start_point(start, d)
+            except (TypeError, ValueError) as exc:
+                checked[key] = exc
+        start = checked[key]
+        if isinstance(start, Exception):
+            found[i] = start
         else:
-            groups.setdefault((sig.dim, sig.depth), []).append((i, sig, start))
+            groups.setdefault((d, n), []).append((i, sig, start))
     for (d, n), members in groups.items():
         # per record: one block per window, then rows, slopes and points
         size = _window_table(d, n - 1)[1] + 3 * d * (n + 1)

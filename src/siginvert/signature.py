@@ -99,6 +99,19 @@ class PiecewiseLinearPath:
         return PiecewiseLinearPath(alpha * self.points, self.times)
 
 
+def _wrap_path(points: np.ndarray) -> PiecewiseLinearPath:
+    """The path through ``points`` on the uniform grid, which the library
+    has just built, with no copy and no check: a read-only (M + 1, d) view,
+    M >= 1 and d >= 1, of an array already checked to be finite.  Its
+    times are a view of the shared grid, as the constructor's are."""
+    path = object.__new__(PiecewiseLinearPath)
+    # object.__setattr__ keeps the attributes inline: vars(path) would
+    # build the instance a dict of its own, about 150 bytes more a path
+    object.__setattr__(path, "points", points)
+    object.__setattr__(path, "times", _uniform_grid(len(points) - 1).view())
+    return path
+
+
 @dataclass(frozen=True)
 class SegmentGeometry:
     """Lengths and kink angles of a path, read off its points alone.

@@ -18,7 +18,7 @@ from siginvert import (
     path_signature,
 )
 from siginvert.insertion import (_BATCH_SCRATCH, _adjoint_rows, _block_entries,
-                                  _invert_depths, _window_table)
+                                  _invert_depths, _outcomes, _window_table)
 
 from conftest import random_path
 from oracles import (
@@ -462,6 +462,55 @@ class TestBatchInvert:
                 batch_invert(sigs, starts)
             assert type(batch.value) is type(alone.value)
             assert str(batch.value) == str(alone.value)
+        # one start object for every record, a point of R^2 that does not
+        # fit R^3, over records of both dims and failures of each: the
+        # start is checked once per dim, and each record's outcome is its
+        # inversion alone, in value, exception type and message
+        start = np.array([0.5, -1.0])
+        sigs = [path_signature(random_path(rng, 3, 3), 5), good,
+                linear_signature(np.array([1.0, 0.0, 2.0]), 1.0, 1),
+                trivial_signature(2, 4), path_signature(random_path(rng, 4, 3), 4),
+                good, trivial_signature(3, 3),
+                linear_signature(np.array([1.0, 0.0]), 1.0, 1)]
+        for sig, res in zip(sigs, _outcomes(sigs, [start] * len(sigs))):
+            try:
+                alone = invert_signature(sig, start)
+            except (ValueError, NormTooSmall) as exc:
+                assert type(res) is type(exc)
+                assert str(res) == str(exc)
+            else:
+                np.testing.assert_array_equal(res.path.points, alone.path.points)
+                np.testing.assert_array_equal(res.slopes, alone.slopes)
+        with pytest.raises(ValueError, match=r"^a start point of shape \(2,\) "
+                           r"does not fit a signature over R\^3$"):
+            batch_invert(sigs, [start] * len(sigs))
+
+    def test_results_are_read_only_rows_of_their_chunk(self, rng):
+        # each result's points and slopes are read-only rows of its (d, n)
+        # chunk's two arrays, not of its signature; its times are a view
+        # of the shared grid, and its path is the public constructor's
+        shapes = [(2, 6), (3, 4), (2, 6), (3, 4), (2, 6)]
+        sigs = [path_signature(random_path(rng, 3, d), n) for d, n in shapes]
+        chunks = {}
+        for (d, n), sig, res in zip(shapes, sigs, batch_invert(sigs)):
+            for arr in res.path.points, res.slopes, res.path.times:
+                assert not arr.flags.writeable
+                with pytest.raises(ValueError, match="WRITEABLE"):
+                    arr.setflags(write=True)
+                assert not any(np.shares_memory(arr, lvl) for lvl in sig.levels)
+            np.testing.assert_array_equal(res.path.times,
+                                          np.linspace(0, 1, n + 1))
+            public = PiecewiseLinearPath(res.path.points)
+            assert res.path.dim == public.dim == d
+            assert res.path.num_segments == public.num_segments == n
+            np.testing.assert_array_equal(res.path.times, public.times)
+            chunks.setdefault((d, n), []).append(res)
+        for (d, n), found in chunks.items():
+            points, slopes = found[0].path.points.base, found[0].slopes.base
+            assert points.shape == (len(found), n + 1, d)
+            assert slopes.shape == (len(found), n, d)
+            assert all(res.path.points.base is points and res.slopes.base is slopes
+                       for res in found)
 
 
 class TestInvertDepths:
