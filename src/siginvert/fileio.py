@@ -10,7 +10,9 @@ with level k holding d**k reals; a batch is a JSON array of such objects.
 An optional "id" key, a string or an integer unique within the file, tags
 records from multi-path files; a record without one takes its index.
 Level entries must be JSON numbers.  The writer's bytes are those of
-``json.dump(..., indent=2)``.  Reader and writer rely on
+``json.dump(..., indent=2)``.  The reader checks a record's JSON types
+and, before it looks at any level, the level count of the size rule
+(``check_level_count``); reader and writer leave the rest to
 ``TruncatedSignature``, which checks the cap (dim included), the size and
 finiteness of every level, so a non-finite level is never read or written.
 The reader converts each record while it parses and drops its level lists,
@@ -36,7 +38,7 @@ import numpy as np
 
 from .errors import AllocationCapError, InputFormatError
 from .signature import PiecewiseLinearPath
-from .tensor_algebra import TruncatedSignature
+from .tensor_algebra import TruncatedSignature, check_level_count
 
 
 def _is_float(s: str) -> bool:
@@ -159,6 +161,8 @@ def record_to_signature(rec: dict) -> TruncatedSignature:
         raise InputFormatError("signature record levels must be a list")
     if len(levels) != depth + 1:
         raise InputFormatError("signature record has wrong level count")
+    # before any per-level work, so that an over-deep record costs its parse
+    check_level_count(dim, depth)
     for k, level in enumerate(levels):
         if not isinstance(level, list):
             raise InputFormatError(f"level {k} must be a list of numbers")

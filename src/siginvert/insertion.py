@@ -141,14 +141,14 @@ def _adjoint_rows(belows, tops, d: int, n: int) -> np.ndarray:
     return rows
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InversionResult:
     """Reconstructed path on the uniform grid p/n plus the solved slopes.
 
     A result that the library builds holds its path's points and its
     slopes as read-only row views of its chunk's two arrays, not copies,
     so a kept result keeps both alive: N (2n + 1) d floats for a chunk of
-    N records over R^d."""
+    N records over R^d.  Equality is identity."""
 
     path: PiecewiseLinearPath
     slopes: np.ndarray       # (n, d) solved slopes y*_{p,n}

@@ -45,7 +45,7 @@ def _uniform_grid(m: int) -> np.ndarray:
     return np.frombuffer(np.linspace(0.0, 1.0, m + 1).tobytes())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PiecewiseLinearPath:
     """Ordered points in R^d with strictly increasing times.
 
@@ -53,7 +53,7 @@ class PiecewiseLinearPath:
     one grid cached per M, which no caller can make writeable.  Fewer
     than 2 points, points in R^0, a point that is not finite, a times
     array of another length, and times that are not finite and strictly
-    increasing raise ValueError.
+    increasing raise ValueError.  Equality is identity.
     """
 
     points: np.ndarray
@@ -112,7 +112,7 @@ def _wrap_path(points: np.ndarray) -> PiecewiseLinearPath:
     return path
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SegmentGeometry:
     """Lengths and kink angles of a path, read off its points alone.
 
@@ -120,7 +120,7 @@ class SegmentGeometry:
     i between the rays back along the incoming segment and forward along
     the outgoing one, so a straight continuation has omega = pi and an
     exact backtrack has omega = 0 (the convention the kink-loss constant
-    K(omega) is stated in).
+    K(omega) is stated in).  Equality is identity.
     """
 
     lengths: np.ndarray         # (M,) segment lengths

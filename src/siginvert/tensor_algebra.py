@@ -49,6 +49,12 @@ def check_levels(dim: int, depth: int) -> None:
     numpy view takes about 128 bytes, most of what a signature over R^1
     holds.  At dim >= 2 only a cap below 22 reaches the level count."""
     check_allocation(dim, max(depth, 1))
+    check_level_count(dim, depth)
+
+
+def check_level_count(dim: int, depth: int) -> None:
+    """The level-count half of ``check_levels``, which needs no level: the
+    JSON reader applies it before it looks at a record's levels."""
     if 17 * (depth + 1) > 4 * _max_coeffs:
         raise AllocationCapError(
             f"a depth-{depth} signature over R^{dim} has {depth + 1} levels, "

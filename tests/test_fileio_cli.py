@@ -12,14 +12,17 @@ import numpy as np
 import pytest
 
 from siginvert import (
+    AllocationCapError,
     AssumptionViolation,
     InputFormatError,
     PiecewiseLinearPath,
     TruncatedSignature,
     constant_speed_reparam,
+    get_allocation_cap,
     invert_signature,
     path_signature,
     segment_geometry,
+    set_allocation_cap,
 )
 from siginvert import cli, fileio
 from siginvert.cli import (
@@ -282,6 +285,33 @@ class TestSignatureJsonReader:
             assert np.concatenate(a.levels).view(np.uint64).tolist() == \
                 np.concatenate(b.levels).view(np.uint64).tolist()
 
+    @pytest.mark.parametrize("dim, level_1", [
+        (1, "[0.5]"), (1, '["x"]'), (0, "[0.5]"),
+    ], ids=["numbers", "string-at-level-1", "dim-0"])
+    def test_over_deep_record_is_refused_before_its_levels(self, tmp_path,
+                                                           dim, level_1):
+        # the level count was applied after every level had been scanned
+        # and converted, a peak of 2.1 times json.loads; a bad level 1 or
+        # a dim below 1 exited 2 before the count was checked
+        depth = 20_000
+        text = ('{"dim": %d, "depth": %d, "levels": [[1.0], %s%s]}'
+                % (dim, depth, level_1, ", [0.5]" * (depth - 1)))
+        f = tmp_path / "deep.json"
+        f.write_text(text)
+
+        def read():
+            with pytest.raises(AllocationCapError) as refused:
+                read_signatures_json(str(f))
+            assert str(refused.value).startswith(
+                f"a depth-{depth} signature over R^{dim} has {depth + 1} levels")
+
+        previous = get_allocation_cap()
+        try:
+            set_allocation_cap(1000)
+            assert traced_peak(read) <= 1.5 * traced_peak(json.loads, text)
+        finally:
+            set_allocation_cap(previous)
+
     def test_syntax_error_wins_over_a_record_past_the_cap(self, tmp_path,
                                                           capsys):
         # the first record's refusal is kept until json.load has parsed the
@@ -500,15 +530,26 @@ class TestSignInvertCli:
             want = np.array([0.5, -1.0]) + t * np.array([1.0, 3.0])
             np.testing.assert_allclose(pt, want, atol=1e-9)
 
-    def test_backtracking_one_column_path_inverts_to_its_end(self, tmp_path):
+    @pytest.mark.parametrize("points, depth", [
+        pytest.param([[0.0, 0.0], [1.0, 0.5], [0.25, 1.5]], 6, id="planar-6"),
+        pytest.param([[0.0, 0.0], [1.0, 0.5], [0.25, 1.5]], 16, id="planar-16"),
+        # R^3 at depth 10 lies past the d = 3 shapes (n <= 9) of SHAPES in
+        # test_insertion.py
+        pytest.param([[0.0, 0.0, 0.0], [1.0, 0.5, 0.25], [0.25, 1.5, -0.5],
+                      [0.5, 1.0, 1.0]], 10, id="r3-10"),
+        pytest.param([[0.0], [150.0], [370.0]], 1000, id="line-1000"),
         # signed by Horner's scheme, its top levels were lost to
         # cancellation, and the inversion ended at 315.38
-        f = write_path_csv_file(tmp_path, "x.csv", [[0.0], [150.0], [20.0], [40.0]])
+        pytest.param([[0.0], [150.0], [20.0], [40.0]], 30, id="backtrack-30"),
+    ])
+    def test_backtracking_one_column_path_inverts_to_its_end(self, tmp_path,
+                                                             points, depth):
+        f = write_path_csv_file(tmp_path, "x.csv", points)
         sig_file, out_file = str(tmp_path / "sig.json"), str(tmp_path / "r.csv")
-        assert main(["sign", f, "--depth", "30", "--out", sig_file]) == 0
+        assert main(["sign", f, "--depth", str(depth), "--out", sig_file]) == 0
         assert main(["invert", sig_file, "--out", out_file]) == 0
         [(_, recon)] = read_paths_csv(out_file)
-        assert abs(recon.points[-1, 0] - 40.0) <= 1e-9
+        assert np.abs(recon.points[-1] - points[-1]).max() <= 1e-9
 
     def test_json_byte_order_mark_is_dropped(self, tmp_path):
         # with the mark, json.load refused the file as invalid JSON
