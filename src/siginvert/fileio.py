@@ -10,14 +10,14 @@ with level k holding d**k reals; a batch is a JSON array of such objects.
 An optional "id" key, a string or an integer unique within the file, tags
 records from multi-path files; a record without one takes its index.
 Level entries must be JSON numbers.  The writer's bytes are those of
-``json.dump(..., indent=2)``.  The reader checks a record's JSON types
-and, before it looks at any level, the level count of the size rule
-(``check_level_count``); reader and writer leave the rest to
-``TruncatedSignature``, which checks the cap (dim included), the size and
-finiteness of every level, so a non-finite level is never read or written.
-The reader converts each record while it parses and drops its level lists,
-so at most two records' Python numbers are alive at once; refusals are
-raised after parsing, in the order a whole-file read would raise them.
+``json.dump(..., indent=2)``.  The reader checks a record's JSON types,
+applying the whole size rule (``check_levels``) before it looks at any
+level; reader and writer leave the rest to ``TruncatedSignature``, which
+checks dim and the shape and finiteness of every level, so a non-finite
+level is never read or written.  The reader converts each record while it
+parses and drops its level lists, so at most two records' Python numbers
+are alive at once; refusals are raised after parsing, in the order a
+whole-file read would raise them, each named by its record.
 
 Decimal text is used throughout: CSV floats carry 17 significant digits,
 JSON floats the shortest repr that round-trips, as ``json`` writes them.
@@ -32,13 +32,12 @@ import json
 import math
 import numbers
 import sys
-import traceback
 
 import numpy as np
 
 from .errors import AllocationCapError, InputFormatError
 from .signature import PiecewiseLinearPath
-from .tensor_algebra import TruncatedSignature, check_level_count
+from .tensor_algebra import TruncatedSignature, check_levels
 
 
 def _is_float(s: str) -> bool:
@@ -161,8 +160,9 @@ def record_to_signature(rec: dict) -> TruncatedSignature:
         raise InputFormatError("signature record levels must be a list")
     if len(levels) != depth + 1:
         raise InputFormatError("signature record has wrong level count")
-    # before any per-level work, so that an over-deep record costs its parse
-    check_level_count(dim, depth)
+    # the whole size rule before any per-level work, so that an over-deep
+    # or over-wide record costs only its parse
+    check_levels(dim, depth)
     for k, level in enumerate(levels):
         if not isinstance(level, list):
             raise InputFormatError(f"level {k} must be a list of numbers")
@@ -257,6 +257,18 @@ def _parse_int(text: str) -> int:
     return int(text)
 
 
+# the key under which the reader keeps a parsed object's outcome: its
+# signature or its refusal's (class, message); no JSON key is equal to it
+_OUTCOME = object()
+
+
+def _outcome(rec):
+    try:
+        return record_to_signature(rec)
+    except (InputFormatError, AllocationCapError) as exc:
+        return type(exc), str(exc)
+
+
 def read_signatures_json(stream) -> list[tuple[str, TruncatedSignature]]:
     """Parse a signature JSON into (id, signature) pairs in file order.
 
@@ -269,28 +281,20 @@ def read_signatures_json(stream) -> list[tuple[str, TruncatedSignature]]:
     closes the next one, the last after ``json.load`` has freed the text,
     and then loses its level lists: a batch holds at most two records'
     Python numbers beside the text and the finished buffers.  A refusal
-    is kept and raised after parsing, in file order after the id checks,
-    so a JSON syntax error wins over any record's.  A nested object is
-    converted too, and its outcome ignored.
+    is kept as its class and message and raised after parsing, prefixed
+    with its record's id, in file order after the id checks, so a JSON
+    syntax error wins over any record's.  A nested object is converted
+    too, and its outcome ignored.
     """
     if isinstance(stream, str):
         # utf-8-sig drops a byte-order mark, which json.load refuses
         with open(stream, encoding="utf-8-sig") as fh:
             return read_signatures_json(fh)
-    # id(object) -> (the object, held so that no other takes its id, and
-    # its signature or refusal)
-    converted = {}
     pending = None  # the object the parser closed last, not yet converted
 
     def convert(rec: dict) -> None:
         try:
-            converted[id(rec)] = rec, record_to_signature(rec)
-        except (InputFormatError, AllocationCapError) as exc:
-            converted[id(rec)] = rec, exc
-            # the frames of a kept refusal would keep the record's numbers
-            for e in (exc, exc.__cause__):
-                if e is not None:
-                    traceback.clear_frames(e.__traceback__)
+            rec[_OUTCOME] = _outcome(rec)
         except RecursionError:
             return  # deep in the parser's stack: converted at its turn below
         rec.pop("levels", None)
@@ -332,13 +336,13 @@ def read_signatures_json(stream) -> list[tuple[str, TruncatedSignature]]:
                 "without an id takes its index as id"
             )
         seen.add(pid)
-        sig = converted.get(id(rec), (rec, None))[1]
-        try:
-            if sig is None:  # not an object, or left at the recursion limit
-                sig = record_to_signature(rec)
-            elif isinstance(sig, Exception):
-                raise sig
-        except InputFormatError as exc:
-            raise InputFormatError(f"record {pid!r}: {exc}") from exc
+        if not isinstance(rec, dict):
+            raise InputFormatError(
+                f"record {pid!r}: signature record needs dim/depth/levels")
+        # an object left at the recursion limit has no outcome yet
+        sig = rec[_OUTCOME] if _OUTCOME in rec else _outcome(rec)
+        if isinstance(sig, tuple):
+            cls, message = sig
+            raise cls(f"record {pid!r}: {message}")
         out.append((pid, sig))
     return out

@@ -43,18 +43,16 @@ def check_allocation(dim: int, degree: int) -> None:
 
 
 def check_levels(dim: int, depth: int) -> None:
-    """The size rule of levels 0..depth over R^dim: the top level against
-    the cap (level 1 at depth 0, so no signature claims any dim), then the
-    levels against 4 times the cap, at 17 coefficients a level: a level's
-    numpy view takes about 128 bytes, most of what a signature over R^1
-    holds.  At dim >= 2 only a cap below 22 reaches the level count."""
-    check_allocation(dim, max(depth, 1))
-    check_level_count(dim, depth)
-
-
-def check_level_count(dim: int, depth: int) -> None:
-    """The level-count half of ``check_levels``, which needs no level: the
-    JSON reader applies it before it looks at a record's levels."""
+    """The size rule of levels 0..depth over R^dim, the first check of every
+    signature, which needs no level: the top level against the cap (level 1
+    at depth 0, so no signature claims any dim), then the levels against 4
+    times the cap, at 17 coefficients a level: a level's numpy view takes
+    about 128 bytes, most of what a signature over R^1 holds.  At dim >= 2
+    only a cap below 22 reaches the level count.  A dim below 1, which
+    only the JSON reader passes and the constructor refuses, has no top
+    level to count."""
+    if dim >= 1:
+        check_allocation(dim, max(depth, 1))
     if 17 * (depth + 1) > 4 * _max_coeffs:
         raise AllocationCapError(
             f"a depth-{depth} signature over R^{dim} has {depth + 1} levels, "
@@ -82,11 +80,11 @@ def _size(dim: int, depth: int) -> int:
 class TruncatedSignature:
     """Levels 0..depth over R^dim as views of one read-only float64 buffer
     of sum_k dim**k finite coefficients, in level order.  The one check of
-    input from outside the library: dim is a count >= 1 (the cap is its
-    ceiling), kept as an int; each level is converted to float64 and checked
-    against the allocation cap, its shape and finiteness, in level order;
-    last, the size rule ``check_levels`` that signing applies too.  The
-    buffer is a copy of the levels.  Equality is identity."""
+    input from outside the library: dim is a count >= 1, kept as an int;
+    then the size rule ``check_levels`` that signing applies, before any
+    level is read; then each level, in level order, is converted to float64,
+    checked for its shape and copied into the buffer; last, ``_wrap`` checks
+    finiteness.  Equality is identity."""
 
     dim: int
     levels: tuple[np.ndarray, ...] = field(repr=False)
@@ -94,20 +92,18 @@ class TruncatedSignature:
 
     def __post_init__(self):
         dim = check_count("dim", self.dim, 1, math.inf)
-        if not len(self.levels):
+        depth = len(self.levels) - 1
+        if depth < 0:
             raise ValueError("need at least level 0")
-        levels = []
+        check_levels(dim, depth)
+        buffer = np.empty(_size(dim, depth))
         for k, lvl in enumerate(self.levels):
             c = np.asarray(lvl, dtype=np.float64)
-            check_allocation(dim, k)
             if c.shape != (dim**k,):
                 raise ValueError(f"a degree-{k} tensor over R^{dim} needs "
                                  f"shape ({dim**k},), got {c.shape}")
-            if not np.isfinite(c).all():
-                raise ValueError(f"level {k} has a non-finite entry")
-            levels.append(c)
-        check_levels(dim, k)
-        vars(self).update(vars(_wrap(dim, k, np.concatenate(levels), check=False)))
+            buffer[_size(dim, k - 1):_size(dim, k)] = c
+        vars(self).update(vars(_wrap(dim, depth, buffer)))
 
     @property
     def depth(self) -> int:
@@ -118,15 +114,15 @@ class TruncatedSignature:
         return self.levels[k]
 
 
-def _wrap(dim: int, depth: int, buffer: np.ndarray,
-          check: bool = True) -> TruncatedSignature:
+def _wrap(dim: int, depth: int, buffer: np.ndarray) -> TruncatedSignature:
     """The signature of levels 0..depth over ``buffer``, which the library
-    has just built, with no copy.  With ``check``, a non-finite entry raises
-    the constructor's ValueError for its level: an overflow is refused so."""
+    has just built, with no copy.  A non-finite entry raises ValueError for
+    its level: every buffer the library wraps is checked so, an overflow
+    included."""
     buffer.setflags(write=False)
     levels = tuple(buffer[_size(dim, k - 1):_size(dim, k)]
                    for k in range(depth + 1))
-    if check and not np.isfinite(buffer).all():
+    if not np.isfinite(buffer).all():
         k = next(k for k, lvl in enumerate(levels) if not np.isfinite(lvl).all())
         raise ValueError(f"level {k} has a non-finite entry")
     sig = object.__new__(TruncatedSignature)
@@ -135,9 +131,8 @@ def _wrap(dim: int, depth: int, buffer: np.ndarray,
 
 
 def _prefix(s: TruncatedSignature, depth: int) -> TruncatedSignature:
-    """Levels 0..depth of ``s``, a view with no check: the buffer is read-only
-    and the library's, ``s`` was checked, and the shapes follow from dim."""
-    return _wrap(s.dim, depth, s._buffer[:_size(s.dim, depth)], check=False)
+    """Levels 0..depth of ``s``, a view of its read-only buffer with no copy."""
+    return _wrap(s.dim, depth, s._buffer[:_size(s.dim, depth)])
 
 
 def graded_scale(s: TruncatedSignature, alpha: float) -> TruncatedSignature:

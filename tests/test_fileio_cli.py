@@ -285,25 +285,29 @@ class TestSignatureJsonReader:
             assert np.concatenate(a.levels).view(np.uint64).tolist() == \
                 np.concatenate(b.levels).view(np.uint64).tolist()
 
-    @pytest.mark.parametrize("dim, level_1", [
-        (1, "[0.5]"), (1, '["x"]'), (0, "[0.5]"),
-    ], ids=["numbers", "string-at-level-1", "dim-0"])
-    def test_over_deep_record_is_refused_before_its_levels(self, tmp_path,
-                                                           dim, level_1):
-        # the level count was applied after every level had been scanned
-        # and converted, a peak of 2.1 times json.loads; a bad level 1 or
-        # a dim below 1 exited 2 before the count was checked
-        depth = 20_000
+    @pytest.mark.parametrize("dim, depth, level_1, message", [
+        (1, 20_000, "[0.5]", "a depth-20000 signature over R^1 has 20001 levels"),
+        (1, 20_000, '["x"]', "a depth-20000 signature over R^1 has 20001 levels"),
+        (0, 20_000, "[0.5]", "a depth-20000 signature over R^0 has 20001 levels"),
+        (2, 12, '["x", 0.5]',
+         "a degree-12 tensor over R^2 needs 2**12 coefficients, above the cap"),
+    ], ids=["numbers", "string-at-level-1", "dim-0", "planar-past-the-cap"])
+    def test_over_deep_record_is_refused_before_its_levels(
+            self, tmp_path, dim, depth, level_1, message):
+        # the whole size rule decides before any level is scanned or
+        # converted: neither a bad level 1 nor a dim below 1 is refused
+        # first, and the peak stays near that of json.loads
+        rest = "".join(", [%s]" % ", ".join(["0.5"] * max(dim, 1)**k)
+                       for k in range(2, depth + 1))
         text = ('{"dim": %d, "depth": %d, "levels": [[1.0], %s%s]}'
-                % (dim, depth, level_1, ", [0.5]" * (depth - 1)))
+                % (dim, depth, level_1, rest))
         f = tmp_path / "deep.json"
         f.write_text(text)
 
         def read():
             with pytest.raises(AllocationCapError) as refused:
                 read_signatures_json(str(f))
-            assert str(refused.value).startswith(
-                f"a depth-{depth} signature over R^{dim} has {depth + 1} levels")
+            assert str(refused.value).startswith(f"record '0': {message}")
 
         previous = get_allocation_cap()
         try:
@@ -311,6 +315,32 @@ class TestSignatureJsonReader:
             assert traced_peak(read) <= 1.5 * traced_peak(json.loads, text)
         finally:
             set_allocation_cap(previous)
+
+    def test_accepted_deep_one_column_record_peak(self, tmp_path):
+        # the constructor converts each level and copies it into the one
+        # buffer in turn, so no second copy of the levels is ever alive
+        depth = 20_000
+        text = '{"dim": 1, "depth": %d, "levels": [[1.0]%s]}' % (
+            depth, ", [0.5]" * depth)
+        f = tmp_path / "deep.json"
+        f.write_text(text)
+        [(_, sig)] = read_signatures_json(str(f))
+        assert sig.depth == depth and sig.level(depth).tolist() == [0.5]
+        assert (traced_peak(read_signatures_json, str(f))
+                <= 2.8 * traced_peak(json.loads, text))
+
+    def test_cap_refusal_is_named_by_its_record(self, tmp_path, capsys):
+        levels = ", ".join(["[1.0]"] + ["[0.5]"] * 300)
+        f = tmp_path / "two.json"
+        f.write_text('[{"dim": 1, "depth": 1, "levels": [[1.0], [0.5]], '
+                     '"id": "a"}, {"dim": 1, "depth": 300, "levels": '
+                     f'[{levels}], "id": "b"}}]')
+        assert main(["invert", str(f), "--max-coeffs", "1000"]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: record 'b': a depth-300 signature over "
+                              "R^1 has 301 levels, ")
+        assert len(err.splitlines()) == 1
 
     def test_syntax_error_wins_over_a_record_past_the_cap(self, tmp_path,
                                                           capsys):
@@ -995,12 +1025,16 @@ class TestBadArguments:
                        f"is longer than the limit of {limit} digits\n")
         assert "set_int_max_str_digits" not in err
 
-    @pytest.mark.parametrize("dim", [0, -2, 100000])
-    def test_bad_dim(self, tmp_path, capsys, dim):
-        # level 2 over R^100000 is past the cap, but level 1 is refused first
+    @pytest.mark.parametrize("dim, code", [
+        (0, 2), (-2, 2), (-100000, 2), (100000, 3),
+    ], ids=["0", "-2", "-100000", "100000"])
+    def test_bad_dim(self, tmp_path, capsys, dim, code):
+        # level 2 over R^100000 is past the cap, which the size rule
+        # refuses before the short level 1 is read; a dim below 1 has no
+        # level to count, however large its square
         f = tmp_path / "dim.json"
         f.write_text(f'{{"dim": {dim}, "depth": 2, "levels": [[1.0], [0.5], [0.125]]}}')
-        assert main(["invert", str(f)]) == 2
+        assert main(["invert", str(f)]) == code
         assert_one_error_line(capsys)
 
     @pytest.mark.parametrize("text", [

@@ -347,10 +347,11 @@ class TestConstructor:
 
     @pytest.mark.parametrize("levels, cap, error, message", [
         ([[1.0], [np.nan, 0.5], [0.0] * 3], None, ValueError,
-         r"^level 1 has a non-finite entry$"),
-        ([[1.0], [0.5], [0.0] * 4], 3, ValueError,
-         r"^a degree-1 tensor over R\^2 needs shape \(2,\), got \(1,\)$"),
-        ([[1.0], ["x", 0.5], [0.0] * 4], 3, ValueError, "could not convert"),
+         r"^a degree-2 tensor over R\^2 needs shape \(4,\), got \(3,\)$"),
+        ([[1.0], [0.5], [0.0] * 4], 3, AllocationCapError,
+         r"^a degree-2 tensor over R\^2 needs 2\*\*2 coefficients, "
+         r"above the cap of 3;"),
+        ([[1.0], ["x", 0.5], [0.0] * 4], 3, AllocationCapError, "cap"),
         ([[1.0], [0.5, 0.5], [0.0] * 4], 3, AllocationCapError, "cap"),
         ([[1.0], 0.5, [np.inf] * 4], None, ValueError, r"got \(\)$"),
         ([[1.0], "12", [np.inf] * 4], None, ValueError, r"got \(\)$"),
@@ -360,8 +361,9 @@ class TestConstructor:
             "unconvertible-then-past-cap", "past-cap", "scalar-level",
             "string-level", "nested-level-0", "array-level-0"])
     def test_first_bad_level_decides(self, levels, cap, error, message):
-        # level by level: conversion, cap, shape, finiteness; a scalar or a
-        # string is never spread over a level
+        # the size rule first, then each level's conversion and shape in
+        # level order, then finiteness; a scalar or a string is never
+        # spread over a level
         previous = get_allocation_cap()
         try:
             set_allocation_cap(cap or previous)
